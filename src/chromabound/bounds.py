@@ -19,6 +19,7 @@ import numpy as np
 from . import linalg
 from .exact import DEFAULT_BUDGET, exact_chi
 from .graphs import Graph, adjacency_matrix, is_connected
+from .linalg import fmt12
 from .majorization import minimal_tau
 
 
@@ -277,7 +278,6 @@ class BoundConfig:
     exact_limit: int = 30
     budget: int = DEFAULT_BUDGET
     tol: float = 1e-9
-    barnes_strategy: str = "hoffman_diag"
     methods: Tuple[str, ...] = ("wilf", "hoffman", "tau-ones", "barnes", "tau-opt", "exact")
 
 
@@ -306,21 +306,15 @@ class BoundReport:
 
     def to_document(self) -> dict:
         """Stable field order and 12-significant-digit floats."""
-
-        def fmt(x):
-            if x is None:
-                return None
-            return float(f"{x:.12g}")
-
         return {
             "graphId": self.graph_id,
             "n": self.n,
             "m": self.m,
-            "hoffman": fmt(self.hoffman),
-            "wilf": fmt(self.wilf),
-            "tauOnes": fmt(self.tau_ones),
-            "tauOptimized": fmt(self.tau_optimized),
-            "barnes": fmt(self.barnes),
+            "hoffman": fmt12(self.hoffman),
+            "wilf": fmt12(self.wilf),
+            "tauOnes": fmt12(self.tau_ones),
+            "tauOptimized": fmt12(self.tau_optimized),
+            "barnes": fmt12(self.barnes),
             "exactChi": self.exact_chi,
             "lower": self.lower,
             "seed": self.seed,
@@ -340,9 +334,6 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
     methods = set(config.methods)
     edgeless = g.num_edges == 0
 
-    def fmt12(x):
-        return float(f"{x:.12g}")
-
     if "wilf" in methods:
         report.wilf = wilf_upper_bound(g)
     if edgeless and methods & {"hoffman", "tau-ones", "tau-opt", "barnes"}:
@@ -354,7 +345,7 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
             report.tau_ones = tau_bound(g, ones_weight(g.n), config.tol)
         if "barnes" in methods:
             if is_connected(g):
-                value, d = barnes_bound(g, config.barnes_strategy)
+                value, d = barnes_bound(g, strategy="hoffman_diag")
                 report.barnes = value
                 report.certificates["barnesD"] = [fmt12(x) for x in d]
             else:

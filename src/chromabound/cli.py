@@ -21,6 +21,9 @@ EXIT_TIMEOUT = 4
 
 ALL_METHODS = ("wilf", "hoffman", "tau-ones", "barnes", "tau-opt", "exact")
 
+# bound, compare and reverse build dense n x n matrices: 64 MiB each when complex at this n
+MAX_DENSE_N = 2048
+
 
 class CliError(Exception):
     def __init__(self, message, code=EXIT_INPUT):
@@ -28,15 +31,19 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_graph(path) -> graphs.Graph:
+def _load_graph(path, dense=True) -> graphs.Graph:
+    """Parse a DIMACS file; with `dense`, reject graphs too large for n x n matrices."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
     try:
-        return graphs.parse_dimacs(text)
+        g = graphs.parse_dimacs(text)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}")
+    if dense and g.n > MAX_DENSE_N:
+        raise CliError(f"{path}: {g.n} vertices exceed the limit of {MAX_DENSE_N} for dense matrices")
+    return g
 
 
 def _write_output(text, output):
@@ -86,7 +93,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_chi(args) -> int:
-    g = _load_graph(args.input)
+    g = _load_graph(args.input, dense=False)
     result = exact.exact_chi(g, args.budget)
     doc = {
         "graphId": Path(args.input).stem,
@@ -137,14 +144,14 @@ def cmd_reverse(args) -> int:
     else:
         w = bounds.WeightMatrix(linalg.random_hermitian(g.n, args.seed), "random")
     m = bounds.weighted_adjacency(g, w)
-    rmap = reversal.reversal_from_coloring(g, coloring, w)
+    rmap = reversal.reversal_from_coloring(g, coloring)
     check = reversal.verify_reversal(rmap, m, tol=args.tol)
     doc = {
         "graphId": Path(args.input).stem,
         "numColors": coloring.num_colors,
-        "cost": float(f"{reversal.reversal_cost(rmap):.12g}"),
+        "cost": linalg.fmt12(reversal.reversal_cost(rmap)),
         "costTarget": coloring.num_colors - 1,
-        "residual": float(f"{check.residual:.12g}"),
+        "residual": linalg.fmt12(check.residual),
         "ok": check.ok,
     }
     if args.emit_map:

@@ -1,52 +1,24 @@
-"""Dense Hermitian matrix helpers and the Jacobi eigensolver.
+"""Dense Hermitian matrix helpers and the eigensolver.
 
-The eigensolver runs cyclic Jacobi sweeps on real symmetric matrices.
-Complex Hermitian input H = X + iY is embedded into the 2n x 2n real
-symmetric [[X, -Y], [Y, X]], whose spectrum is that of H with every
-eigenvalue doubled in multiplicity; we deduplicate by taking every
-second value of the sorted vector.
-
-The sweep kernel is compiled (Cython) when available; set
-CHROMABOUND_PURE_PYTHON=1 to force the pure-Python fallback.
+Eigen-decompositions go to LAPACK through numpy.linalg.eigh/eigvalsh,
+which handles real symmetric and complex Hermitian input alike. Every
+input passes one validation path first: square, finite, and Hermitian
+up to a relative deviation of HERMITIAN_RTOL.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-if os.environ.get("CHROMABOUND_PURE_PYTHON") == "1":
-    from . import _jacobi_py as _kernel
-
-    KERNEL = "python"
-else:
-    try:
-        from . import _jacobi as _kernel  # type: ignore[attr-defined]
-
-        KERNEL = "cython"
-    except ImportError:
-        from . import _jacobi_py as _kernel
-
-        KERNEL = "python"
-
-MAX_SWEEPS = 100
-OFF_NORM_RTOL = 1e-12  # stop when off-diagonal Frobenius norm <= rtol * ||M||_F
-PAIR_RTOL = 1e-8  # embedding eigenvalue pairing tolerance, relative to ||M||_F
+HERMITIAN_RTOL = 1e-8  # allowed ||M - M^H||_F relative to max(1, ||M||_F)
 UNITARY_TOL = 1e-10
 
 
-class ConvergenceError(RuntimeError):
-    """Jacobi sweeps did not reach the off-diagonal target within the cap."""
-
-    def __init__(self, off_norm, target):
-        super().__init__(
-            f"eigensolver did not converge: off-diagonal norm {off_norm:.3e} "
-            f"above target {target:.3e} after {MAX_SWEEPS} sweeps"
-        )
-        self.off_norm = off_norm
-        self.target = target
+def fmt12(x):
+    """Round to 12 significant digits, the precision of every JSON document; None passes."""
+    if x is None:
+        return None
+    return float(f"{x:.12g}")
 
 
 def check_finite(m):
@@ -55,15 +27,22 @@ def check_finite(m):
 
 
 def hermitize(m):
-    """Symmetrize to an exactly Hermitian array; reject gross asymmetry."""
-    m = np.asarray(m, dtype=complex)
+    """(M + M^H) / 2 for a square, finite, nearly Hermitian M; reject the rest.
+
+    Real input stays real; complex input whose imaginary part is zero
+    everywhere is reduced to its real part.
+    """
+    m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     check_finite(m)
-    dev = np.linalg.norm(m - m.conj().T)
-    if dev > 1e-8 * max(1.0, np.linalg.norm(m)):
+    if not np.iscomplexobj(m) or not np.any(m.imag):
+        m = m.real.astype(float)
+    mh = m.conj().T
+    dev = np.linalg.norm(m - mh)
+    if dev > HERMITIAN_RTOL * max(1.0, np.linalg.norm(m)):
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
-    return (m + m.conj().T) / 2.0
+    return (m + mh) / 2.0
 
 
 def hadamard_product(x, y):
@@ -75,59 +54,16 @@ def hadamard_product(x, y):
     return x * y
 
 
-def _real_eigh(a, want_vectors):
-    """Eigen-decompose a real symmetric array (copied, not mutated)."""
-    a = np.array(a, dtype=float, order="C")
-    n = a.shape[0]
-    fro = np.linalg.norm(a)
-    target = OFF_NORM_RTOL * fro
-    v = np.eye(n) if want_vectors else np.zeros((1, 1))
-    if fro > 0.0:
-        _sweeps, off = _kernel.jacobi_cyclic(a, v, target, MAX_SWEEPS, want_vectors)
-        if off > target:
-            raise ConvergenceError(off, target)
-    w = np.diagonal(a).copy()
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    if want_vectors:
-        v = np.asarray(v)[:, order]
-    return w, v
-
-
 def eigh(m, want_vectors=True):
     """Full spectrum (sorted non-increasing) and eigenvectors as columns.
 
     Input must be Hermitian; eigenvalues are real by construction.
     """
-    m = np.asarray(m)
-    check_finite(m)
-    if np.iscomplexobj(m) and np.any(m.imag != 0.0):
-        h = hermitize(m)
-        n = h.shape[0]
-        x, y = h.real, h.imag
-        big = np.block([[x, -y], [y, x]])
-        w2, v2 = _real_eigh(big, want_vectors)
-        fro = np.linalg.norm(h)
-        gaps = np.abs(w2[0::2] - w2[1::2])
-        if np.any(gaps > PAIR_RTOL * max(1.0, fro)):
-            raise ConvergenceError(float(gaps.max()), PAIR_RTOL * max(1.0, fro))
-        w = w2[0::2]
-        if not want_vectors:
-            return w, None
-        vecs = np.empty((n, n), dtype=complex)
-        for k in range(n):
-            col = v2[:, 2 * k]
-            z = col[:n] + 1j * col[n:]
-            vecs[:, k] = z / np.linalg.norm(z)
-        return w, vecs
-    else:
-        a = np.real(m).astype(float)
-        dev = np.linalg.norm(a - a.T)
-        if dev > 1e-8 * max(1.0, np.linalg.norm(a)):
-            raise ValueError(f"matrix is not symmetric (deviation {dev:.3e})")
-        a = (a + a.T) / 2.0
-        w, v = _real_eigh(a, want_vectors)
-        return w, (v if want_vectors else None)
+    h = hermitize(m)
+    if not want_vectors:
+        return np.linalg.eigvalsh(h)[::-1], None
+    w, v = np.linalg.eigh(h)
+    return w[::-1], v[:, ::-1]
 
 
 def spectrum(m) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import linalg
 from .graphs import Coloring, Graph, is_proper
+from .linalg import fmt12
 from .majorization import minimal_tau
 
 TRACELESS_RTOL = 1e-9
@@ -74,7 +75,7 @@ def verify_reversal(m: SignReversalMap, target, tol=1e-9) -> ReversalCheck:
     return ReversalCheck(bool(residual <= tol * max(1.0, np.linalg.norm(target))), residual)
 
 
-def reversal_from_coloring(g: Graph, coloring: Coloring, w=None) -> SignReversalMap:
+def reversal_from_coloring(g: Graph, coloring: Coloring) -> SignReversalMap:
     """Map of cost (num_colors - 1) negating any edge-supported Hermitian.
 
     Terms are powers D^j (j = 1..q-1) of D = diag(omega^{c_k}) with omega
@@ -147,14 +148,10 @@ def cost_lower_bound(target) -> float:
 
 def serialize_map(m: SignReversalMap) -> dict:
     """JSON-ready document: weights and row-major [re, im] unitary entries."""
-
-    def fmt(x):
-        return float(f"{x:.12g}")
-
     terms = []
     for r, u in m.terms:
-        rows = [[[fmt(z.real), fmt(z.imag)] for z in row] for row in u]
-        terms.append({"r": fmt(r), "U": rows})
+        rows = [[[fmt12(z.real), fmt12(z.imag)] for z in row] for row in u]
+        terms.append({"r": fmt12(r), "U": rows})
     return {"n": m.n, "terms": terms}
 
 

@@ -76,6 +76,21 @@ class TestBound:
         assert any("edgeless" in note for note in doc["notes"])
 
 
+class TestOversized:
+    """A valid file whose n would need ~80 GB per dense n x n matrix."""
+
+    @pytest.fixture
+    def huge_col(self, tmp_path):
+        path = tmp_path / "huge.col"
+        path.write_text("p edge 100000 1\ne 1 2\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["bound", "compare", "reverse"])
+    def test_rejected_before_allocation(self, huge_col, command, capsys):
+        assert main([command, huge_col]) == EXIT_INPUT
+        assert "100000 vertices exceed" in capsys.readouterr().err
+
+
 class TestChi:
     def test_petersen(self, petersen_col, capsys):
         assert main(["chi", petersen_col, "--format", "json"]) == EXIT_OK

@@ -1,8 +1,11 @@
 """Chromatic-number bounds from spectra of weighted adjacency matrices.
 
-Lower bounds: Hoffman (largest over smallest eigenvalue), Barnes
-(diagonal-scaled adjacency), and the majorization bound tau + 1 computed
-from any Hermitian edge weighting. The weight search is a random-restart
+Every lower bound reads the spectrum of a Hadamard-weighted adjacency
+matrix M = W * A. Hoffman and tau-ones use the all-ones W, Barnes uses
+W = D^{-1/2} 1 D^{-1/2} with D = |lambda_n| I, and tau_W + 1 takes any
+Hermitian W. Weights on the edge list become M in one builder
+(`_edge_matrix`), and M becomes tau in one evaluator (`_tau`), shared by
+`tau_bound` and the weight search. The weight search is a random-restart
 pattern search; the all-ones weighting is always one of the starts, so
 the result never regresses below the Hoffman-style baseline.
 """
@@ -17,7 +20,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import linalg
-from .exact import DEFAULT_BUDGET, exact_chi
+from .exact import exact_chi
 from .graphs import Graph, adjacency_matrix, is_connected
 from .linalg import fmt12
 from .majorization import minimal_tau
@@ -46,8 +49,7 @@ def canonicalize(g: Graph, w: WeightMatrix) -> WeightMatrix:
     """Zero all entries off the edge set; reject weightings that vanish there."""
     if w.matrix.shape != (g.n, g.n):
         raise ValueError(f"weight shape {w.matrix.shape} != ({g.n}, {g.n})")
-    mask = adjacency_matrix(g)
-    canon = w.matrix * mask
+    canon = linalg.hadamard_product(w.matrix, adjacency_matrix(g))
     if g.num_edges and np.linalg.norm(canon) == 0.0:
         raise DegenerateGraphError("weight matrix vanishes on every edge")
     return WeightMatrix(canon, w.origin)
@@ -70,7 +72,7 @@ def barnes_weight(d) -> WeightMatrix:
 
 def weighted_adjacency(g: Graph, w: WeightMatrix) -> np.ndarray:
     """M = W * A (entrywise); traceless Hermitian supported on the edge set."""
-    return linalg.hadamard_product(canonicalize(g, w).matrix, adjacency_matrix(g))
+    return canonicalize(g, w).matrix
 
 
 def _adjacency_spectrum(g: Graph) -> np.ndarray:
@@ -93,13 +95,20 @@ def wilf_upper_bound(g: Graph) -> float:
     return float(lam[0] + 1.0)
 
 
-def tau_bound(g: Graph, w: WeightMatrix, tol=1e-9) -> float:
-    """tau_W + 1 for M = W * A; never exceeds the chromatic number."""
-    m = weighted_adjacency(g, w)
+def _tau(m, tol):
+    """tau of the spectrum of M / ||M||_F, or None when M = 0."""
     fro = np.linalg.norm(m)
     if fro == 0.0:
+        return None
+    return minimal_tau(linalg.spectrum(m / fro), tol)
+
+
+def tau_bound(g: Graph, w: WeightMatrix, tol=1e-9) -> float:
+    """tau_W + 1 for M = W * A; never exceeds the chromatic number."""
+    tau = _tau(weighted_adjacency(g, w), tol)
+    if tau is None:
         raise DegenerateGraphError("weighted adjacency matrix is zero")
-    return float(minimal_tau(linalg.spectrum(m / fro), tol) + 1.0)
+    return float(tau + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +118,22 @@ INITIAL_STEP = 0.25
 MIN_STEP = 1e-4
 
 
-def _build_weighted(g_edges, n, radii, phases):
-    m = np.zeros((n, n), dtype=complex if phases is not None else float)
-    for idx, (u, v) in enumerate(g_edges):
-        w = radii[idx] * (np.exp(1j * phases[idx]) if phases is not None else 1.0)
-        m[u, v] = w
-        m[v, u] = np.conj(w)
+def _edge_index(g: Graph):
+    """Endpoint arrays (us < vs) in sorted(g.edges) order, the certificate order."""
+    us, vs = np.array(sorted(g.edges), dtype=np.intp).reshape(-1, 2).T
+    return us, vs
+
+
+def _edge_matrix(n, index, x, complex_phases):
+    """Hermitian M with r_e (or r_e exp(i phi_e)) on each edge, x = (r, phi)."""
+    us, vs = index
+    num_edges = len(us)
+    w = x[:num_edges]
+    if complex_phases:
+        w = w * np.exp(1j * x[num_edges:])
+    m = np.zeros((n, n), dtype=w.dtype)
+    m[us, vs] = w
+    m[vs, us] = np.conj(w)
     return m
 
 
@@ -126,21 +145,10 @@ def _normalize_radii(x, num_edges):
     return x
 
 
-def _tau_of_params(g_edges, n, x, num_edges, complex_phases, tol):
-    radii = x[:num_edges]
-    phases = x[num_edges:] if complex_phases else None
-    m = _build_weighted(g_edges, n, radii, phases)
-    fro = np.linalg.norm(m)
-    if fro < 1e-12:
-        return None
-    return minimal_tau(linalg.spectrum(m / fro), tol)
-
-
-def _pattern_search(g_edges, n, x0, budget, complex_phases, tol):
+def _pattern_search(objective, x0, num_edges, budget):
     """Coordinate pattern search; halve the step on a sweep without progress."""
-    num_edges = len(g_edges)
     x = _normalize_radii(np.asarray(x0, dtype=float), num_edges)
-    best = _tau_of_params(g_edges, n, x, num_edges, complex_phases, tol)
+    best = objective(x)
     evals = 1
     step = INITIAL_STEP
     while step >= MIN_STEP and evals < budget:
@@ -153,7 +161,7 @@ def _pattern_search(g_edges, n, x0, budget, complex_phases, tol):
                     break
                 cand = x.copy()
                 cand[i] += sign * step
-                val = _tau_of_params(g_edges, n, cand, num_edges, complex_phases, tol)
+                val = objective(cand)
                 evals += 1
                 if val is not None and (best is None or val > best + 1e-12):
                     x = _normalize_radii(cand, num_edges)
@@ -183,9 +191,12 @@ def optimize_weight(
     """
     if g.num_edges == 0:
         raise DegenerateGraphError("graph has no edges")
-    edges = sorted(g.edges)
-    num_edges = len(edges)
+    index = _edge_index(g)
+    num_edges = g.num_edges
     dim = num_edges * (2 if allow_complex else 1)
+
+    def objective(x):
+        return _tau(_edge_matrix(g.n, index, x, allow_complex), tol)
 
     best_x = None
     best_tau = None
@@ -198,14 +209,12 @@ def optimize_weight(
             x0[:num_edges] = [rng.uniform(0.5, 1.5) for _ in range(num_edges)]
             if allow_complex:
                 x0[num_edges:] = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(num_edges)]
-        x, tau, _evals = _pattern_search(edges, g.n, x0, iterations, allow_complex, tol)
+        x, tau, _evals = _pattern_search(objective, x0, num_edges, iterations)
         if tau is not None and (best_tau is None or tau > best_tau + 1e-15):
             best_tau = tau
             best_x = x
     assert best_tau is not None
-    radii = best_x[:num_edges]
-    phases = best_x[num_edges:] if allow_complex else None
-    m = _build_weighted(edges, g.n, radii, phases)
+    m = _edge_matrix(g.n, index, best_x, allow_complex)
     m /= np.linalg.norm(m)
     w = WeightMatrix(m, f"optimized(seed={seed}, restarts={restarts}, iterations={iterations})")
     return w, float(best_tau)
@@ -214,55 +223,24 @@ def optimize_weight(
 # ---------------------------------------------------------------------------
 # Barnes bound (Theorem of the diagonal-scaled adjacency matrix)
 
-PSD_TOL = -1e-8
-SHRINK = 0.1
 
-
-def _barnes_value(a, d):
-    inv_root = 1.0 / np.sqrt(d)
-    scaled = a * np.outer(inv_root, inv_root)
-    return float(linalg.spectrum(scaled)[0] + 1.0)
-
-
-def barnes_bound(
-    g: Graph,
-    strategy="hoffman_diag",
-    iters=20,
-) -> Tuple[float, np.ndarray]:
+def barnes_bound(g: Graph) -> Tuple[float, np.ndarray]:
     """Largest eigenvalue of D^{-1/2} A D^{-1/2} plus one, and the D used.
 
-    `hoffman_diag` sets D = |lambda_n| I (reproduces the Hoffman bound
-    exactly); `coordinate_descent` greedily shrinks individual diagonal
-    entries while keeping A + D positive semidefinite. The true
-    semidefinite program is out of scope; this is a documented heuristic.
+    D = |lambda_n| I, the smallest multiple of I with A + D positive
+    semidefinite, so the value equals the Hoffman bound. The matrix is
+    weighted_adjacency(g, barnes_weight(d)). Searching other feasible D
+    gains nothing over tau: A + D >= 0 gives lambda_min >= -1 for the
+    scaled matrix, so its Barnes value is at most tau_W + 1 for
+    W = barnes_weight(d).
     """
     if not is_connected(g):
         raise DisconnectedGraphError("Barnes bound requires a connected graph")
     if g.num_edges == 0:
         raise DegenerateGraphError("graph has no edges")
-    a = adjacency_matrix(g)
-    lam = linalg.spectrum(a)
-    d = np.full(g.n, abs(lam[-1]))
-    if strategy == "hoffman_diag":
-        return _barnes_value(a, d), d
-    if strategy != "coordinate_descent":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    best = _barnes_value(a, d)
-    for _sweep in range(iters):
-        changed = False
-        for i in range(g.n):
-            trial = d.copy()
-            trial[i] *= 1.0 - SHRINK
-            if linalg.min_eigenvalue(a + np.diag(trial)) < PSD_TOL:
-                continue
-            value = _barnes_value(a, trial)
-            if value >= best - 1e-12:
-                d = trial
-                best = max(best, value)
-                changed = True
-        if not changed:
-            break
-    return best, d
+    d = np.full(g.n, abs(linalg.spectrum(adjacency_matrix(g))[-1]))
+    m = weighted_adjacency(g, barnes_weight(d))
+    return float(linalg.spectrum(m)[0] + 1.0), d
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +254,6 @@ class BoundConfig:
     seed: int = 0
     allow_complex: bool = False
     exact_limit: int = 30
-    budget: int = DEFAULT_BUDGET
     tol: float = 1e-9
     methods: Tuple[str, ...] = ("wilf", "hoffman", "tau-ones", "barnes", "tau-opt", "exact")
 
@@ -345,7 +322,7 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
             report.tau_ones = tau_bound(g, ones_weight(g.n), config.tol)
         if "barnes" in methods:
             if is_connected(g):
-                value, d = barnes_bound(g, strategy="hoffman_diag")
+                value, d = barnes_bound(g)
                 report.barnes = value
                 report.certificates["barnesD"] = [fmt12(x) for x in d]
             else:
@@ -360,14 +337,15 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
                 tol=config.tol,
             )
             report.tau_optimized = tau + 1.0
-            entries = []
-            for u, v in sorted(g.edges):
-                z = w.matrix[u, v]
-                entries.append([u, v, fmt12(z.real), fmt12(z.imag)])
-            report.certificates["optimizedWeight"] = entries
+            us, vs = _edge_index(g)
+            z = w.matrix[us, vs]
+            report.certificates["optimizedWeight"] = [
+                [u, v, fmt12(re), fmt12(im)]
+                for u, v, re, im in zip(us.tolist(), vs.tolist(), z.real, z.imag)
+            ]
     if "exact" in methods:
         if g.n <= config.exact_limit:
-            result = exact_chi(g, config.budget)
+            result = exact_chi(g)
             if result.timed_out:
                 report.notes.append(
                     f"exact oracle timed out after {result.nodes_explored} nodes "

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -264,13 +265,35 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _count(text):
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _tolerance(text):
+    """argparse type: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _add_bound_flags(p):
     p.add_argument("--method", default="all", choices=("all",) + ALL_METHODS[:-1])
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--iters", type=int, default=200)
+    p.add_argument("--restarts", type=_count, default=8)
+    p.add_argument("--iters", type=_count, default=200)
     p.add_argument("--exact-limit", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--complex-weights", action="store_true", help="allow complex edge weights in the optimizer")
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument("--output", default=None, help="write to file instead of stdout")

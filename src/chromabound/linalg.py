@@ -54,22 +54,18 @@ def hadamard_product(x, y):
     return x * y
 
 
-def eigh(m, want_vectors=True):
+def eigh(m):
     """Full spectrum (sorted non-increasing) and eigenvectors as columns.
 
     Input must be Hermitian; eigenvalues are real by construction.
     """
-    h = hermitize(m)
-    if not want_vectors:
-        return np.linalg.eigvalsh(h)[::-1], None
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(hermitize(m))
     return w[::-1], v[:, ::-1]
 
 
 def spectrum(m) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted non-increasing."""
-    w, _ = eigh(m, want_vectors=False)
-    return w
+    return np.linalg.eigvalsh(hermitize(m))[::-1]
 
 
 def min_eigenvalue(m) -> float:

@@ -66,16 +66,9 @@ def minimal_tau(spec, tol=1e-9) -> float:
         raise ValueError(f"spectrum is not traceless (sum {s.sum():.3e})")
     if n < 2:
         raise ValueError("need at least a 2-dimensional spectrum")
-    top = np.cumsum(s)
-    bottom = np.cumsum(s[::-1])
-    best = None
-    for m in range(1, n):
-        denom = -bottom[m - 1]
-        if denom < tol * max(1.0, scale):
-            continue
-        ratio = top[m - 1] / denom
-        if best is None or ratio > best:
-            best = ratio
-    if best is None:
+    top = np.cumsum(s)[:-1]
+    denom = -np.cumsum(s[::-1])[:-1]
+    keep = ~(denom < tol * max(1.0, scale))
+    if not keep.any():
         raise DegenerateSpectrumError("all denominators vanish; spectrum has no negative mass")
-    return float(best)
+    return float(np.max(top[keep] / denom[keep]))

@@ -88,7 +88,7 @@ def test_criterion_3_barnes_reductions(corpus):
     for name, g in corpus:
         if g.num_edges == 0 or not is_connected(g):
             continue
-        value, _d = barnes_bound(g, "hoffman_diag")
+        value, _d = barnes_bound(g)
         assert value == pytest.approx(hoffman_bound(g), abs=1e-8), name
         connected += 1
     identity_checks = 0
@@ -119,7 +119,7 @@ def test_criterion_4_soundness(chi_table):
             continue
         lowers = [hoffman_bound(g), tau_bound(g, ones_weight(g.n))]
         if is_connected(g):
-            lowers.append(barnes_bound(g, "hoffman_diag")[0])
+            lowers.append(barnes_bound(g)[0])
         _w, tau = optimize_weight(g, restarts=8, iterations=200, seed=0)
         lowers.append(tau + 1.0)
         assert max(lowers) <= chi + 1e-6, (name, max(lowers), chi)

@@ -67,6 +67,17 @@ class TestBound:
         bad.write_text("p edge 2 1\ne 1 1\n")
         assert main(["bound", str(bad)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+         ("--restarts", "0"), ("--restarts", "-4"), ("--iters", "0"), ("--iters", "x")],
+    )
+    def test_out_of_range_flag(self, k3_col, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", k3_col, flag, value])
+        assert exc.value.code == EXIT_INPUT
+        assert f"argument {flag}" in capsys.readouterr().err
+
     def test_edgeless_exits_zero(self, tmp_path, capsys):
         empty = tmp_path / "empty.col"
         empty.write_text("p edge 4 0\n")

@@ -26,6 +26,23 @@ def brute_force_tau(spec):
     return max(ratios)
 
 
+def loop_tau(spec, tol=1e-9):
+    """Reference: the per-m loop minimal_tau replaced, with its skip rule."""
+    s = sort_descending(spec)
+    scale = max(1.0, float(np.linalg.norm(s)))
+    top = np.cumsum(s)
+    bottom = np.cumsum(s[::-1])
+    best = None
+    for m in range(1, len(s)):
+        denom = -bottom[m - 1]
+        if denom < tol * scale:
+            continue
+        ratio = top[m - 1] / denom
+        if best is None or ratio > best:
+            best = ratio
+    return float(best)
+
+
 class TestSortDescending:
     def test_basic(self):
         assert list(sort_descending([1, 3, 2])) == [3, 2, 1]
@@ -100,6 +117,16 @@ class TestMinimalTau:
             if np.linalg.norm(s) < 1e-6:
                 continue
             assert minimal_tau(s) == pytest.approx(brute_force_tau(s), rel=1e-9)
+
+    def test_equals_loop_reference(self, corpus):
+        """Same floats, same skip rule: bit-identical to the loop."""
+        spectra = [linalg.spectrum(adjacency_matrix(g)) for _name, g in corpus if g.num_edges]
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            s = rng.standard_normal(int(rng.integers(2, 24)))
+            spectra.append(s - s.mean())
+        for s in spectra:
+            assert minimal_tau(s) == loop_tau(s)
 
     def test_scale_invariance(self):
         spec = [3, 1, 1, -2, -3]

@@ -5,9 +5,11 @@ matrix M = W * A. Hoffman and tau-ones use the all-ones W, Barnes uses
 W = D^{-1/2} 1 D^{-1/2} with D = |lambda_n| I, and tau_W + 1 takes any
 Hermitian W. Weights on the edge list become M in one builder
 (`_edge_matrix`), and M becomes tau in one evaluator (`_tau`), shared by
-`tau_bound` and the weight search. The weight search is a random-restart
-pattern search; the all-ones weighting is always one of the starts, so
-the result never regresses below the Hoffman-style baseline.
+`tau_bound` and the weight search. tau is homogeneous in M, so it takes
+no tolerance here: `minimal_tau` applies its own fixed relative one. The
+weight search is a random-restart pattern search; the all-ones weighting
+is always one of the starts, so the result never regresses below the
+Hoffman-style baseline.
 """
 
 from __future__ import annotations
@@ -95,20 +97,25 @@ def wilf_upper_bound(g: Graph) -> float:
     return float(lam[0] + 1.0)
 
 
-def _tau(m, tol):
-    """tau of the spectrum of M / ||M||_F, or None when M = 0."""
-    fro = np.linalg.norm(m)
-    if fro == 0.0:
-        return None
-    return minimal_tau(linalg.spectrum(m / fro), tol)
+def _tau(m):
+    """tau of the spectrum of M / ||M||_F, for a nonzero edge-supported M.
+
+    No caller passes M = 0: `canonicalize` rejects a W that vanishes on
+    every edge, and every weight-search candidate has radii of norm at
+    least 1/sqrt(2) - INITIAL_STEP.
+    """
+    return minimal_tau(linalg.spectrum(m / np.linalg.norm(m)))
 
 
-def tau_bound(g: Graph, w: WeightMatrix, tol=1e-9) -> float:
-    """tau_W + 1 for M = W * A; never exceeds the chromatic number."""
-    tau = _tau(weighted_adjacency(g, w), tol)
-    if tau is None:
-        raise DegenerateGraphError("weighted adjacency matrix is zero")
-    return float(tau + 1.0)
+def tau_bound(g: Graph, w: WeightMatrix) -> float:
+    """tau_W + 1 for M = W * A; never exceeds the chromatic number.
+
+    Raises DegenerateGraphError for an edgeless graph, or for a W that
+    vanishes on every edge.
+    """
+    if g.num_edges == 0:
+        raise DegenerateGraphError("graph has no edges")
+    return float(_tau(weighted_adjacency(g, w)) + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +145,8 @@ def _edge_matrix(n, index, x, complex_phases):
 
 
 def _normalize_radii(x, num_edges):
-    scale = np.linalg.norm(x[:num_edges]) * math.sqrt(2.0)
-    if scale > 0.0:
-        x = x.copy()
-        x[:num_edges] /= scale
+    x = x.copy()
+    x[:num_edges] /= np.linalg.norm(x[:num_edges]) * math.sqrt(2.0)
     return x
 
 
@@ -163,7 +168,7 @@ def _pattern_search(objective, x0, num_edges, budget):
                 cand[i] += sign * step
                 val = objective(cand)
                 evals += 1
-                if val is not None and (best is None or val > best + 1e-12):
+                if val > best + 1e-12:
                     x = _normalize_radii(cand, num_edges)
                     best = val
                     improved = True
@@ -179,7 +184,6 @@ def optimize_weight(
     iterations=200,
     seed=0,
     allow_complex=False,
-    tol=1e-9,
 ) -> Tuple[WeightMatrix, float]:
     """Heuristically maximize tau_W over Hermitian edge weightings.
 
@@ -196,10 +200,10 @@ def optimize_weight(
     dim = num_edges * (2 if allow_complex else 1)
 
     def objective(x):
-        return _tau(_edge_matrix(g.n, index, x, allow_complex), tol)
+        return _tau(_edge_matrix(g.n, index, x, allow_complex))
 
     best_x = None
-    best_tau = None
+    best_tau = -math.inf
     for r_idx in range(max(1, restarts)):
         x0 = np.zeros(dim)
         if r_idx == 0:
@@ -210,10 +214,9 @@ def optimize_weight(
             if allow_complex:
                 x0[num_edges:] = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(num_edges)]
         x, tau, _evals = _pattern_search(objective, x0, num_edges, iterations)
-        if tau is not None and (best_tau is None or tau > best_tau + 1e-15):
+        if tau > best_tau + 1e-15:
             best_tau = tau
             best_x = x
-    assert best_tau is not None
     m = _edge_matrix(g.n, index, best_x, allow_complex)
     m /= np.linalg.norm(m)
     w = WeightMatrix(m, f"optimized(seed={seed}, restarts={restarts}, iterations={iterations})")
@@ -229,18 +232,17 @@ def barnes_bound(g: Graph) -> Tuple[float, np.ndarray]:
 
     D = |lambda_n| I, the smallest multiple of I with A + D positive
     semidefinite, so the value equals the Hoffman bound. The matrix is
-    weighted_adjacency(g, barnes_weight(d)). Searching other feasible D
-    gains nothing over tau: A + D >= 0 gives lambda_min >= -1 for the
-    scaled matrix, so its Barnes value is at most tau_W + 1 for
-    W = barnes_weight(d).
+    weighted_adjacency(g, barnes_weight(d)) = A / |lambda_n|; D is scalar,
+    so its largest eigenvalue is lambda_1 / |lambda_n|, read from the one
+    spectrum of A. Searching other feasible D gains nothing over tau:
+    A + D >= 0 gives lambda_min >= -1 for the scaled matrix, so its Barnes
+    value is at most tau_W + 1 for W = barnes_weight(d).
     """
     if not is_connected(g):
         raise DisconnectedGraphError("Barnes bound requires a connected graph")
-    if g.num_edges == 0:
-        raise DegenerateGraphError("graph has no edges")
-    d = np.full(g.n, abs(linalg.spectrum(adjacency_matrix(g))[-1]))
-    m = weighted_adjacency(g, barnes_weight(d))
-    return float(linalg.spectrum(m)[0] + 1.0), d
+    lam = _adjacency_spectrum(g)
+    d = np.full(g.n, abs(lam[-1]))
+    return float(lam[0] / d[0] + 1.0), d
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +256,6 @@ class BoundConfig:
     seed: int = 0
     allow_complex: bool = False
     exact_limit: int = 30
-    tol: float = 1e-9
     methods: Tuple[str, ...] = ("wilf", "hoffman", "tau-ones", "barnes", "tau-opt", "exact")
 
 
@@ -319,7 +320,7 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
         if "hoffman" in methods:
             report.hoffman = hoffman_bound(g)
         if "tau-ones" in methods:
-            report.tau_ones = tau_bound(g, ones_weight(g.n), config.tol)
+            report.tau_ones = tau_bound(g, ones_weight(g.n))
         if "barnes" in methods:
             if is_connected(g):
                 value, d = barnes_bound(g)
@@ -334,7 +335,6 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
                 iterations=config.iterations,
                 seed=config.seed,
                 allow_complex=config.allow_complex,
-                tol=config.tol,
             )
             report.tau_optimized = tau + 1.0
             us, vs = _edge_index(g)

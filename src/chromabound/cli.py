@@ -22,7 +22,9 @@ EXIT_TIMEOUT = 4
 
 ALL_METHODS = ("wilf", "hoffman", "tau-ones", "barnes", "tau-opt", "exact")
 
-# bound, compare and reverse build dense n x n matrices: 64 MiB each when complex at this n
+# Vertex limit for every command that loads a graph file. bound, compare and
+# reverse build dense n x n matrices (64 MiB each when complex at this n), and
+# chi's DSATUR takes O(n^2) Python steps (about 0.6 s at this n, hours at 1e5).
 MAX_DENSE_N = 2048
 
 
@@ -32,8 +34,8 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_graph(path, dense=True) -> graphs.Graph:
-    """Parse a DIMACS file; with `dense`, reject graphs too large for n x n matrices."""
+def _load_graph(path) -> graphs.Graph:
+    """Parse a DIMACS file; reject graphs with more than MAX_DENSE_N vertices."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -42,8 +44,8 @@ def _load_graph(path, dense=True) -> graphs.Graph:
         g = graphs.parse_dimacs(text)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}")
-    if dense and g.n > MAX_DENSE_N:
-        raise CliError(f"{path}: {g.n} vertices exceed the limit of {MAX_DENSE_N} for dense matrices")
+    if g.n > MAX_DENSE_N:
+        raise CliError(f"{path}: {g.n} vertices exceed the limit of {MAX_DENSE_N}")
     return g
 
 
@@ -78,7 +80,6 @@ def _bound_config(args) -> bounds.BoundConfig:
         seed=args.seed,
         allow_complex=args.complex_weights,
         exact_limit=args.exact_limit,
-        tol=args.tol,
         methods=methods,
     )
 
@@ -94,7 +95,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_chi(args) -> int:
-    g = _load_graph(args.input, dense=False)
+    g = _load_graph(args.input)
     result = exact.exact_chi(g, args.budget)
     doc = {
         "graphId": Path(args.input).stem,
@@ -293,7 +294,6 @@ def _add_bound_flags(p):
     p.add_argument("--iters", type=_count, default=200)
     p.add_argument("--exact-limit", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--complex-weights", action="store_true", help="allow complex edge weights in the optimizer")
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument("--output", default=None, help="write to file instead of stdout")
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="exact chromatic number")
     p.add_argument("input")
-    p.add_argument("--budget", type=int, default=exact.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_count, default=exact.DEFAULT_BUDGET)
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_chi)
@@ -323,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--colors", default="dsatur", help="dsatur, exact, or a coloring file path")
     p.add_argument("--weight", default="ones", choices=("ones", "random"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--budget", type=int, default=exact.DEFAULT_BUDGET)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--budget", type=_count, default=exact.DEFAULT_BUDGET)
     p.add_argument("--emit-map", default=None)
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument("--output", default=None)

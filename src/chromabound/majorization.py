@@ -3,6 +3,8 @@
 For a traceless Hermitian M with spectrum s sorted non-increasing, the
 smallest tau > 0 with Spec(-M) majorized by tau * Spec(M) is the maximum
 over m of (sum of the m largest) / (minus the sum of the m smallest).
+That condition is homogeneous in M, so its one tolerance, TAU_RTOL, is
+relative to the norm of the spectrum and no caller sets it.
 """
 
 from __future__ import annotations
@@ -51,24 +53,30 @@ class DegenerateSpectrumError(ValueError):
     """All-zero spectrum: no edges, or W vanishing on every edge."""
 
 
-def minimal_tau(spec, tol=1e-9) -> float:
+# Trace and denominators below TAU_RTOL * ||spec|| count as zero.
+TAU_RTOL = 1e-9
+
+
+def minimal_tau(spec) -> float:
     """Smallest tau > 0 with reverse-negate(spec) majorized by tau * spec.
 
     Equals max over m = 1..n-1 of prefix-top-m / (-prefix-bottom-m);
-    near-zero denominators are skipped. Scale invariant.
+    denominators below TAU_RTOL * ||spec|| are skipped, and the spectrum
+    must sum to within that of zero. Both rules scale with the spectrum,
+    so scaling spec by any c > 0 leaves tau unchanged up to rounding.
     """
     s = sort_descending(spec)
     n = len(s)
     scale = float(np.linalg.norm(s))
     if scale == 0.0:
         raise DegenerateSpectrumError("spectrum is identically zero")
-    if abs(s.sum()) > tol * max(1.0, scale):
+    if abs(s.sum()) > TAU_RTOL * scale:
         raise ValueError(f"spectrum is not traceless (sum {s.sum():.3e})")
     if n < 2:
         raise ValueError("need at least a 2-dimensional spectrum")
     top = np.cumsum(s)[:-1]
     denom = -np.cumsum(s[::-1])[:-1]
-    keep = ~(denom < tol * max(1.0, scale))
+    keep = ~(denom < TAU_RTOL * scale)
     if not keep.any():
         raise DegenerateSpectrumError("all denominators vanish; spectrum has no negative mass")
     return float(np.max(top[keep] / denom[keep]))

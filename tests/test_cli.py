@@ -69,14 +69,19 @@ class TestBound:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
-         ("--restarts", "0"), ("--restarts", "-4"), ("--iters", "0"), ("--iters", "x")],
+        [("--restarts", "0"), ("--restarts", "-4"), ("--iters", "0"), ("--iters", "x")],
     )
     def test_out_of_range_flag(self, k3_col, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bound", k3_col, flag, value])
         assert exc.value.code == EXIT_INPUT
         assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_no_tol_flag(self, k3_col, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", k3_col, "--tol", "1e-9"])
+        assert exc.value.code == EXIT_INPUT
+        assert "--tol" in capsys.readouterr().err
 
     def test_edgeless_exits_zero(self, tmp_path, capsys):
         empty = tmp_path / "empty.col"
@@ -88,7 +93,7 @@ class TestBound:
 
 
 class TestOversized:
-    """A valid file whose n would need ~80 GB per dense n x n matrix."""
+    """A valid file whose n would need ~80 GB per dense n x n matrix, or hours of DSATUR."""
 
     @pytest.fixture
     def huge_col(self, tmp_path):
@@ -96,7 +101,7 @@ class TestOversized:
         path.write_text("p edge 100000 1\ne 1 2\n")
         return str(path)
 
-    @pytest.mark.parametrize("command", ["bound", "compare", "reverse"])
+    @pytest.mark.parametrize("command", ["bound", "compare", "reverse", "chi"])
     def test_rejected_before_allocation(self, huge_col, command, capsys):
         assert main([command, huge_col]) == EXIT_INPUT
         assert "100000 vertices exceed" in capsys.readouterr().err
@@ -122,8 +127,26 @@ class TestChi:
         path.write_text(emit_dimacs(mycielski(mycielski(complete(2)))))
         assert main(["chi", str(path), "--budget", "10"]) == EXIT_TIMEOUT
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_out_of_range_budget(self, petersen_col, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chi", petersen_col, "--budget", value])
+        assert exc.value.code == EXIT_INPUT
+        assert "argument --budget" in capsys.readouterr().err
+
 
 class TestReverse:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+         ("--budget", "0"), ("--budget", "-5")],
+    )
+    def test_out_of_range_flag(self, k3_col, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reverse", k3_col, flag, value])
+        assert exc.value.code == EXIT_INPUT
+        assert f"argument {flag}" in capsys.readouterr().err
+
     def test_k3_exact(self, k3_col, capsys):
         assert main(["reverse", k3_col, "--colors", "exact", "--weight", "ones",
                      "--format", "json"]) == EXIT_OK

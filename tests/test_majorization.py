@@ -27,9 +27,9 @@ def brute_force_tau(spec):
 
 
 def loop_tau(spec, tol=1e-9):
-    """Reference: the per-m loop minimal_tau replaced, with its skip rule."""
+    """Reference: the per-m loop minimal_tau replaced, with its relative skip rule."""
     s = sort_descending(spec)
-    scale = max(1.0, float(np.linalg.norm(s)))
+    scale = float(np.linalg.norm(s))
     top = np.cumsum(s)
     bottom = np.cumsum(s[::-1])
     best = None
@@ -131,7 +131,7 @@ class TestMinimalTau:
     def test_scale_invariance(self):
         spec = [3, 1, 1, -2, -3]
         base = minimal_tau(spec)
-        for c in (0.1, 2.0, 1e4):
+        for c in (1e-12, 0.1, 2.0, 1e4):
             assert minimal_tau(np.asarray(spec) * c) == pytest.approx(base, rel=1e-12)
 
     def test_at_least_hoffman_ratio(self):

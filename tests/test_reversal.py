@@ -212,7 +212,8 @@ class TestCostLowerBound:
         from chromabound.graphs import adjacency_matrix
 
         a = adjacency_matrix(petersen())
-        assert cost_lower_bound(17.0 * a) == pytest.approx(cost_lower_bound(a), rel=1e-10)
+        for c in (1e-12, 17.0):
+            assert cost_lower_bound(c * a) == pytest.approx(cost_lower_bound(a), rel=1e-10)
 
     def test_any_verifying_map_costs_at_least_bound(self):
         g = petersen()

@@ -22,9 +22,10 @@ EXIT_TIMEOUT = 4
 
 ALL_METHODS = ("wilf", "hoffman", "tau-ones", "barnes", "tau-opt", "exact")
 
-# Vertex limit for every command that loads a graph file. bound, compare and
-# reverse build dense n x n matrices (64 MiB each when complex at this n), and
-# chi's DSATUR takes O(n^2) Python steps (about 0.6 s at this n, hours at 1e5).
+# Vertex limit for every command that loads or generates a graph. bound,
+# compare and reverse build dense n x n matrices (64 MiB each when complex at
+# this n), and chi's DSATUR takes O(n^2) Python steps (about 0.6 s at this n,
+# hours at 1e5). reverse also caps its map at MAX_DENSE_N^2 unitary entries.
 MAX_DENSE_N = 2048
 
 
@@ -38,7 +39,7 @@ def _load_graph(path) -> graphs.Graph:
     """Parse a DIMACS file; reject graphs with more than MAX_DENSE_N vertices."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}")
     try:
         g = graphs.parse_dimacs(text)
@@ -141,6 +142,12 @@ def cmd_reverse(args) -> int:
     if g.num_edges == 0:
         raise CliError("graph has no edges; nothing to reverse")
     coloring = _coloring_for(g, args.colors, args.budget)
+    entries = (coloring.num_colors - 1) * g.n * g.n
+    if entries > MAX_DENSE_N**2:
+        raise CliError(
+            f"a map of {coloring.num_colors - 1} unitaries of size {g.n}x{g.n} has "
+            f"{entries} entries, above the limit of {MAX_DENSE_N**2}"
+        )
     if args.weight == "ones":
         w = bounds.ones_weight(g.n)
     else:
@@ -224,6 +231,13 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _check_gen_size(desc, count, at_least=False):
+    """Refuse a generated graph from its vertex count, before it is built."""
+    if count > MAX_DENSE_N:
+        bound = "at least " if at_least else ""
+        raise CliError(f"{desc}: {bound}{count} vertices exceed the limit of {MAX_DENSE_N}")
+
+
 def cmd_gen(args) -> int:
     kind = args.kind
     params = args.params
@@ -231,8 +245,10 @@ def cmd_gen(args) -> int:
         if kind in ("complete", "cycle", "star"):
             if len(params) != 1:
                 raise ValueError(f"{kind} takes one parameter: n")
-            g = graphs.generate(kind, n=int(params[0]))
             desc = f"{kind}({params[0]})"
+            n = int(params[0])
+            _check_gen_size(desc, n)
+            g = graphs.generate(kind, n=n)
         elif kind == "petersen":
             if params:
                 raise ValueError("petersen takes no parameters")
@@ -241,23 +257,31 @@ def cmd_gen(args) -> int:
         elif kind == "kneser":
             if len(params) != 2:
                 raise ValueError("kneser takes two parameters: n k")
-            g = graphs.kneser(int(params[0]), int(params[1]))
             desc = f"kneser({params[0]}, {params[1]})"
+            n, k = int(params[0]), int(params[1])
+            if 1 <= k <= n // 2:  # else graphs.kneser rejects (n, k)
+                _check_gen_size(desc, n, at_least=True)  # C(n, k) >= n
+                _check_gen_size(desc, math.comb(n, k))
+            g = graphs.kneser(n, k)
         elif kind == "mycielski":
             if len(params) != 1:
                 raise ValueError("mycielski takes one parameter: tower height over K2")
             levels = int(params[0])
             if levels < 1:
                 raise ValueError("tower height must be >= 1")
+            desc = f"mycielski tower level {levels}"
+            # level L has 3 * 2^L - 1 vertices; level 11 is far past the limit
+            _check_gen_size(desc, 3 * 2 ** min(levels, 11) - 1, at_least=levels > 11)
             g = graphs.complete(2)
             for _ in range(levels):
                 g = graphs.mycielski(g)
-            desc = f"mycielski tower level {levels}"
         elif kind == "erdos-renyi":
             if len(params) != 3:
                 raise ValueError("erdos-renyi takes three parameters: n p seed")
-            g = graphs.erdos_renyi(int(params[0]), float(params[1]), int(params[2]))
             desc = f"erdos_renyi({params[0]}, {params[1]}, seed={params[2]})"
+            n = int(params[0])
+            _check_gen_size(desc, n)
+            g = graphs.erdos_renyi(n, float(params[1]), int(params[2]))
         else:
             raise ValueError(f"unknown kind {kind!r}")
     except ValueError as exc:

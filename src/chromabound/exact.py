@@ -91,45 +91,68 @@ def exact_chi(g: Graph, budget=DEFAULT_BUDGET) -> ColoringResult:
     colors = [-1] * n
     neighbor_colors = [set() for _ in range(n)]
 
+    # the DSATUR key (saturation, degree, -index) as one integer, compared
+    # faster than a tuple: saturation * n^2 + rank[v], with rank[v] < n^2
+    rank = [len(adj[v]) * n + n - 1 - v for v in range(n)]
+    sat_weight = n * n
+
     def pick_vertex():
         best = -1
-        key_best = None
+        key_best = -1
         for v in range(n):
-            if colors[v] >= 0:
-                continue
-            key = (len(neighbor_colors[v]), len(adj[v]), -v)
-            if key_best is None or key > key_best:
-                best, key_best = v, key
+            if colors[v] < 0:
+                key = len(neighbor_colors[v]) * sat_weight + rank[v]
+                if key > key_best:
+                    best, key_best = v, key
         return best
 
-    def search(colored, used):
+    def search():
+        """Depth-first branch and bound with an explicit stack.
+
+        Each open node keeps [vertex, colors used above it, color limit,
+        next color to try, vertices touched by the current color]; the stack
+        depth is the number of colored vertices, so no recursion limit caps n.
+        """
         nonlocal best_k, best_colors
-        if counter.tick():
-            return
-        if used >= best_k:
-            return
-        if colored == n:
-            best_k = used
-            best_colors = colors.copy()
-            return
-        v = pick_vertex()
-        limit = min(used + 1, best_k - 1)
-        for c in range(limit):
-            if c in neighbor_colors[v]:
-                continue
-            colors[v] = c
-            touched = [u for u in adj[v] if c not in neighbor_colors[u]]
-            for u in touched:
-                neighbor_colors[u].add(c)
-            search(colored + 1, max(used, c + 1))
-            for u in touched:
-                neighbor_colors[u].discard(c)
-            colors[v] = -1
-            if best_k <= lower or counter.exhausted:
+        stack = []
+        used = 0
+        while True:
+            # visit a node: len(stack) vertices are colored with `used` colors
+            if not counter.tick() and used < best_k:
+                if len(stack) == n:
+                    best_k = used
+                    best_colors = colors.copy()
+                else:
+                    stack.append([pick_vertex(), used, min(used + 1, best_k - 1), 0, None])
+            # move to the next child of the deepest open node
+            while stack:
+                node = stack[-1]
+                v, node_used, limit, c, touched = node
+                if touched is not None:
+                    for u in touched:
+                        neighbor_colors[u].discard(colors[v])
+                    colors[v] = -1
+                    if best_k <= lower or counter.exhausted:
+                        stack.pop()
+                        continue
+                while c < limit and c in neighbor_colors[v]:
+                    c += 1
+                if c >= limit:
+                    stack.pop()
+                    continue
+                colors[v] = c
+                touched = [u for u in adj[v] if c not in neighbor_colors[u]]
+                for u in touched:
+                    neighbor_colors[u].add(c)
+                node[3] = c + 1
+                node[4] = touched
+                used = max(node_used, c + 1)
+                break
+            else:
                 return
 
     if best_k > lower:
-        search(0, 0)
+        search()
 
     witness = Coloring(tuple(best_colors), best_k)
     assert is_proper(g, witness.colors)

@@ -4,7 +4,10 @@ For a traceless Hermitian M with spectrum s sorted non-increasing, the
 smallest tau > 0 with Spec(-M) majorized by tau * Spec(M) is the maximum
 over m of (sum of the m largest) / (minus the sum of the m smallest).
 That condition is homogeneous in M, so its one tolerance, TAU_RTOL, is
-relative to the norm of the spectrum and no caller sets it.
+relative to the norm of the spectrum and no caller sets it. Its trace
+rule is also the package's rule for a traceless matrix: for Hermitian M
+the eigenvalues sum to tr M and their 2-norm is ||M||_F, so
+|sum s| <= TAU_RTOL * ||s|| reads |tr M| <= TAU_RTOL * ||M||_F.
 """
 
 from __future__ import annotations
@@ -32,7 +35,11 @@ def sort_descending(x) -> np.ndarray:
 
 
 def majorizes(x, y, tol=1e-9) -> MajorizationReport:
-    """Test whether x is majorized by y (prefix sums plus equal totals)."""
+    """Test whether x is majorized by y (prefix sums plus equal totals).
+
+    Prefix sums and totals are compared up to tol * max(||x||, ||y||), so
+    scaling both vectors by any c > 0 leaves the verdict unchanged.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
@@ -40,11 +47,12 @@ def majorizes(x, y, tol=1e-9) -> MajorizationReport:
     px = np.cumsum(sort_descending(x))
     py = np.cumsum(sort_descending(y))
     n = len(px)
+    slack = tol * max(np.linalg.norm(x), np.linalg.norm(y))
     sum_gap = abs(px[-1] - py[-1])
     for m in range(1, n):
-        if px[m - 1] > py[m - 1] + tol:
+        if px[m - 1] > py[m - 1] + slack:
             return MajorizationReport(False, (m, float(px[m - 1]), float(py[m - 1])), sum_gap)
-    if sum_gap > tol:
+    if sum_gap > slack:
         return MajorizationReport(False, None, sum_gap)
     return MajorizationReport(True, None, sum_gap)
 

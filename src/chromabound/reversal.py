@@ -4,6 +4,11 @@ Two constructions are provided: the coloring-derived map (cost one less
 than the number of colors, built from powers of a root-of-unity diagonal)
 and the group map over the Weyl-Heisenberg family (cost n^2 - 1). The
 spectral lower bound on any map's cost is the minimal-tau value.
+
+Targets must be traceless by the rule minimal_tau applies to a spectrum,
+|tr T| <= TAU_RTOL * ||T||_F, and a map verifies when its residual is
+within tol * ||T||_F. Both rules are relative to the target's own norm,
+so they give the same verdict for T and c * T at every scale c > 0.
 """
 
 from __future__ import annotations
@@ -16,9 +21,7 @@ import numpy as np
 from . import linalg
 from .graphs import Coloring, Graph, is_proper
 from .linalg import fmt12
-from .majorization import minimal_tau
-
-TRACELESS_RTOL = 1e-9
+from .majorization import TAU_RTOL, minimal_tau
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,11 +59,6 @@ def apply_reversal(m: SignReversalMap, target) -> np.ndarray:
     return out
 
 
-def _check_traceless(target, tol=TRACELESS_RTOL):
-    if not linalg.is_traceless(target, tol):
-        raise ValueError(f"target is not traceless (trace {np.trace(target):.3e})")
-
-
 @dataclass(frozen=True)
 class ReversalCheck:
     ok: bool
@@ -68,11 +66,17 @@ class ReversalCheck:
 
 
 def verify_reversal(m: SignReversalMap, target, tol=1e-9) -> ReversalCheck:
-    """Residual ||apply(m, target) + target||_F against tol * max(1, ||target||_F)."""
+    """Residual ||apply(m, target) + target||_F against tol * ||target||_F.
+
+    The target must be traceless: |tr T| <= TAU_RTOL * ||T||_F.
+    """
     target = np.asarray(target, dtype=complex)
-    _check_traceless(target)
+    scale = np.linalg.norm(target)
+    trace = np.trace(target)
+    if abs(trace) > TAU_RTOL * scale:
+        raise ValueError(f"target is not traceless (trace {trace:.3e})")
     residual = float(np.linalg.norm(apply_reversal(m, target) + target))
-    return ReversalCheck(bool(residual <= tol * max(1.0, np.linalg.norm(target))), residual)
+    return ReversalCheck(bool(residual <= tol * scale), residual)
 
 
 def reversal_from_coloring(g: Graph, coloring: Coloring) -> SignReversalMap:
@@ -141,8 +145,6 @@ def group_sign_reversal(n) -> SignReversalMap:
 
 def cost_lower_bound(target) -> float:
     """Spectral lower bound on the cost of any sign-reversal map for target."""
-    target = np.asarray(target, dtype=complex)
-    _check_traceless(target)
     return minimal_tau(linalg.spectrum(target))
 
 

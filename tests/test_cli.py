@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromabound.cli import EXIT_IMPROPER, EXIT_INPUT, EXIT_OK, EXIT_TIMEOUT, main
-from chromabound.graphs import emit_dimacs, erdos_renyi, parse_dimacs, petersen
+from chromabound.graphs import complete, emit_dimacs, erdos_renyi, mycielski, parse_dimacs, petersen
 
 
 @pytest.fixture
@@ -93,7 +99,8 @@ class TestBound:
 
 
 class TestOversized:
-    """A valid file whose n would need ~80 GB per dense n x n matrix, or hours of DSATUR."""
+    """Inputs whose size would need ~80 GB of dense matrices, or hours of DSATUR or
+    generation, exit 2 before anything is built."""
 
     @pytest.fixture
     def huge_col(self, tmp_path):
@@ -106,6 +113,41 @@ class TestOversized:
         assert main([command, huge_col]) == EXIT_INPUT
         assert "100000 vertices exceed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "params, count",
+        [
+            (["complete", "3000"], "3000"),
+            (["kneser", "60", "30"], "118264581564861424"),
+            (["kneser", "100000", "50000"], "at least 100000"),
+            (["mycielski", "10"], "3071"),
+            (["mycielski", "40"], "at least 6143"),
+            (["erdos-renyi", "100000", "0.5", "1"], "100000"),
+        ],
+    )
+    def test_gen_rejected_before_building(self, params, count, capsys):
+        assert main(["gen"] + params) == EXIT_INPUT
+        assert f"{count} vertices exceed the limit of 2048" in capsys.readouterr().err
+
+    def test_gen_at_the_limit(self, capsys):
+        assert main(["gen", "mycielski", "9"]) == EXIT_OK
+        assert parse_dimacs(capsys.readouterr().out).n == 1535
+
+    @pytest.mark.parametrize(
+        "n, labels, entries",
+        [(200, None, 199 * 200 * 200), (3, "0 1 1000000000", 10**9 * 3 * 3)],
+        ids=["k200", "huge-label"],
+    )
+    def test_reverse_map_rejected(self, tmp_path, n, labels, entries, capsys):
+        """(q - 1) n^2 unitary entries above 2048^2 are refused before any is built."""
+        path = tmp_path / "g.col"
+        path.write_text(emit_dimacs(complete(n)))
+        argv = ["reverse", str(path)]
+        if labels is not None:
+            (tmp_path / "colors.txt").write_text(labels)
+            argv += ["--colors", str(tmp_path / "colors.txt")]
+        assert main(argv) == EXIT_INPUT
+        assert f"{entries} entries, above the limit of {2048**2}" in capsys.readouterr().err
+
 
 class TestChi:
     def test_petersen(self, petersen_col, capsys):
@@ -114,15 +156,18 @@ class TestChi:
 
     def test_k6(self, tmp_path, capsys):
         path = tmp_path / "k6.col"
-        from chromabound.graphs import complete
-
         path.write_text(emit_dimacs(complete(6)))
         assert main(["chi", str(path), "--format", "json"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["chi"] == 6
 
-    def test_forced_timeout(self, tmp_path, capsys):
-        from chromabound.graphs import complete, mycielski
+    def test_long_odd_cycle(self, tmp_path, capsys):
+        path = tmp_path / "c1201.col"
+        assert main(["gen", "cycle", "1201", "--out", str(path)]) == EXIT_OK
+        assert main(["chi", str(path), "--format", "json"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["chi"], doc["exact"]) == (3, True)
 
+    def test_forced_timeout(self, tmp_path, capsys):
         path = tmp_path / "grotzsch.col"
         path.write_text(emit_dimacs(mycielski(mycielski(complete(2)))))
         assert main(["chi", str(path), "--budget", "10"]) == EXIT_TIMEOUT
@@ -217,3 +262,38 @@ class TestCompare:
         assert main(argv) == EXIT_OK
         second = capsys.readouterr().out
         assert first == second
+
+
+# Malformed .col text: valid and corrupted p/e/c lines, stray tokens, huge and
+# negative integers, and bytes that are not UTF-8.
+_INTEGER = st.one_of(st.integers(-3, 12), st.sampled_from([2**31, 2**64, 10**30, -(10**30)]))
+_TOKEN = st.one_of(_INTEGER.map(str), st.sampled_from(["p", "e", "c", "edge", "col", "1.5", "nan", "-"]))
+_LINE = st.one_of(
+    st.builds("p edge {} {}".format, _INTEGER, _INTEGER),
+    st.builds("e {} {}".format, _INTEGER, _INTEGER),
+    st.builds("c {}".format, _TOKEN),
+    st.lists(_TOKEN, max_size=5).map(" ".join),
+).map(str.encode)
+
+
+@st.composite
+def _col_bytes(draw):
+    n = draw(st.integers(1, 8))
+    edge = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    lines = [f"p edge {n} 0".encode()] + [f"e {u} {v}".encode() for u, v in draw(st.lists(edge, max_size=12))]
+    lines += draw(st.lists(st.one_of(_LINE, st.binary(min_size=1, max_size=3)), max_size=3))
+    return b"\n".join(draw(st.permutations(lines)))
+
+
+@given(_col_bytes())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_malformed_col_never_escapes_main(data):
+    fast = ["--restarts", "1", "--iters", "5"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "fuzz.col")
+        Path(path).write_bytes(data)
+        for argv in (["bound", path] + fast, ["compare", path] + fast,
+                     ["chi", path, "--budget", "2000"], ["reverse", path]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (EXIT_OK, EXIT_INPUT, EXIT_IMPROPER, EXIT_TIMEOUT), (argv[0], data)

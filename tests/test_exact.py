@@ -62,6 +62,12 @@ class TestExactChi:
             assert exact_chi(cycle(2 * k)).chi == 2
             assert exact_chi(cycle(2 * k + 1)).chi == 3
 
+    def test_long_odd_cycle(self):
+        # the search goes one level deeper per colored vertex: 1201 levels here
+        result = exact_chi(cycle(1201))
+        assert (result.chi, result.timed_out) == (3, False)
+        assert is_proper(cycle(1201), result.witness.colors)
+
     def test_completes(self):
         for n in range(1, 8):
             assert exact_chi(complete(n)).chi == n

@@ -70,12 +70,13 @@ class TestMajorizes:
         assert majorizes([1, 0, -1], [2, 0, -2]).holds
 
     def test_violation_at_m2(self):
-        # prefix sums of x: 1, 2, 0; of y: 3.8, 1.9, 0 -> fails at m = 2
-        report = majorizes([1, 1, -2], [3.8, -1.9, -1.9])
-        assert not report.holds
-        assert report.first_violation[0] == 2
-        assert report.first_violation[1] == pytest.approx(2.0)
-        assert report.first_violation[2] == pytest.approx(1.9)
+        # prefix sums of x: 1, 2, 0; of y: 3.8, 1.9, 0 -> fails at m = 2, at any scale
+        for scale in (1.0, 1e-12):
+            report = majorizes(scale * np.array([1, 1, -2]), scale * np.array([3.8, -1.9, -1.9]))
+            assert not report.holds
+            assert report.first_violation[0] == 2
+            assert report.first_violation[1] == pytest.approx(2.0 * scale)
+            assert report.first_violation[2] == pytest.approx(1.9 * scale)
 
     def test_reflexive(self):
         assert majorizes([3, 1, -4], [3, 1, -4]).holds

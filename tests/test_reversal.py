@@ -69,11 +69,12 @@ class TestVerify:
         assert check.residual <= 1e-14
 
     def test_identity_map_fails(self):
-        h = traceless(linalg.random_hermitian(3, 4))
         m = SignReversalMap(3, ((1.0, np.eye(3)),))
-        check = verify_reversal(m, h)
-        assert not check.ok
-        assert check.residual == pytest.approx(2 * np.linalg.norm(h))
+        for scale in (1.0, 1e-12):
+            h = scale * traceless(linalg.random_hermitian(3, 4))
+            check = verify_reversal(m, h)
+            assert not check.ok
+            assert check.residual == pytest.approx(2 * np.linalg.norm(h))
 
     def test_zero_target_ok(self):
         m = group_sign_reversal(2)
@@ -81,8 +82,9 @@ class TestVerify:
 
     def test_non_traceless_rejected(self):
         m = group_sign_reversal(2)
-        with pytest.raises(ValueError, match="traceless"):
-            verify_reversal(m, np.eye(2))
+        for target in (np.eye(2), 1e-12 * np.eye(2)):
+            with pytest.raises(ValueError, match="traceless"):
+                verify_reversal(m, target)
 
 
 class TestColoringMap:

@@ -3,13 +3,13 @@
 Every lower bound reads the spectrum of a Hadamard-weighted adjacency
 matrix M = W * A. Hoffman and tau-ones use the all-ones W, Barnes uses
 W = D^{-1/2} 1 D^{-1/2} with D = |lambda_n| I, and tau_W + 1 takes any
-Hermitian W. Weights on the edge list become M in one builder
-(`_edge_matrix`), and M becomes tau in one evaluator (`_tau`), shared by
-`tau_bound` and the weight search. tau is homogeneous in M, so it takes
-no tolerance here: `minimal_tau` applies its own fixed relative one. The
-weight search is a random-restart pattern search; the all-ones weighting
-is always one of the starts, so the result never regresses below the
-Hoffman-style baseline.
+Hermitian W. Every M is built by `_edge_matrix` from its values on the
+edge list, and M becomes tau in one evaluator (`_tau`). A report reads
+Wilf, Hoffman, Barnes and tau-ones from one spectrum of A. tau is
+homogeneous in M, so it takes no tolerance here: `minimal_tau` applies
+its own fixed relative one. The weight search is a random-restart
+pattern search; the all-ones weighting is always one of the starts, so
+the result never regresses below the Hoffman-style baseline.
 """
 
 from __future__ import annotations
@@ -38,23 +38,13 @@ class DisconnectedGraphError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Hermitian edge weighting; canonical form is zero off the edge set."""
+    """Hermitian weighting; only its entries on the edge set enter M = W * A."""
 
     matrix: np.ndarray
     origin: str = "user"
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", linalg.hermitize(self.matrix))
-
-
-def canonicalize(g: Graph, w: WeightMatrix) -> WeightMatrix:
-    """Zero all entries off the edge set; reject weightings that vanish there."""
-    if w.matrix.shape != (g.n, g.n):
-        raise ValueError(f"weight shape {w.matrix.shape} != ({g.n}, {g.n})")
-    canon = linalg.hadamard_product(w.matrix, adjacency_matrix(g))
-    if g.num_edges and np.linalg.norm(canon) == 0.0:
-        raise DegenerateGraphError("weight matrix vanishes on every edge")
-    return WeightMatrix(canon, w.origin)
 
 
 def ones_weight(n: int) -> WeightMatrix:
@@ -72,36 +62,76 @@ def barnes_weight(d) -> WeightMatrix:
     return WeightMatrix(np.outer(inv_root, inv_root), "barnes")
 
 
+def _edge_index(g: Graph):
+    """Endpoint arrays (us < vs) in sorted(g.edges) order, the certificate order."""
+    us, vs = np.array(sorted(g.edges), dtype=np.intp).reshape(-1, 2).T
+    return us, vs
+
+
+def _edge_matrix(n, index, z):
+    """Hermitian M: z_e at (u_e, v_e), conj(z_e) at (v_e, u_e), zero elsewhere."""
+    us, vs = index
+    m = np.zeros((n, n), dtype=np.result_type(z, float))
+    m[us, vs] = z
+    m[vs, us] = np.conj(z)
+    return m
+
+
 def weighted_adjacency(g: Graph, w: WeightMatrix) -> np.ndarray:
-    """M = W * A (entrywise); traceless Hermitian supported on the edge set."""
-    return canonicalize(g, w).matrix
+    """M = W * A (entrywise): W on the edge set, zero elsewhere; real if W is real there."""
+    if w.matrix.shape != (g.n, g.n):
+        raise ValueError(f"weight shape {w.matrix.shape} != ({g.n}, {g.n})")
+    index = _edge_index(g)
+    z = w.matrix[index]
+    if not np.any(z.imag):
+        z = z.real
+    if g.num_edges and not np.any(z):
+        raise DegenerateGraphError("weight matrix vanishes on every edge")
+    return _edge_matrix(g.n, index, z)
 
 
-def _adjacency_spectrum(g: Graph) -> np.ndarray:
+def _adjacency_bounds(g: Graph):
+    """Wilf, Hoffman (= Barnes at D = |lambda_n| I), |lambda_n| and spec(A), one eigensolve."""
     if g.num_edges == 0:
         raise DegenerateGraphError("graph has no edges")
-    return linalg.spectrum(adjacency_matrix(g))
+    lam = linalg.spectrum(adjacency_matrix(g))
+    lam_n = abs(lam[-1])
+    return float(lam[0] + 1.0), float(lam[0] / lam_n + 1.0), lam_n, lam
 
 
 def hoffman_bound(g: Graph) -> float:
     """lambda_1 / |lambda_n| + 1."""
-    lam = _adjacency_spectrum(g)
-    return float(lam[0] / abs(lam[-1]) + 1.0)
+    return _adjacency_bounds(g)[1]
 
 
 def wilf_upper_bound(g: Graph) -> float:
     """lambda_1 + 1."""
     if g.num_edges == 0:
         return 1.0
-    lam = _adjacency_spectrum(g)
-    return float(lam[0] + 1.0)
+    return _adjacency_bounds(g)[0]
+
+
+def barnes_bound(g: Graph) -> Tuple[float, np.ndarray]:
+    """Largest eigenvalue of D^{-1/2} A D^{-1/2} plus one, and the D used.
+
+    D = |lambda_n| I, the smallest multiple of I with A + D positive
+    semidefinite, so the matrix is weighted_adjacency(g, barnes_weight(d))
+    = A / |lambda_n| and the value is the Hoffman bound, read from the same
+    spectrum of A. Other feasible D gain nothing over tau: A + D >= 0 gives
+    lambda_min >= -1 for the scaled matrix, so its Barnes value is at most
+    tau_W + 1 for W = barnes_weight(d).
+    """
+    if not is_connected(g):
+        raise DisconnectedGraphError("Barnes bound requires a connected graph")
+    _wilf, hoffman, lam_n, _lam = _adjacency_bounds(g)
+    return hoffman, np.full(g.n, lam_n)
 
 
 def _tau(m):
     """tau of the spectrum of M / ||M||_F, for a nonzero edge-supported M.
 
-    No caller passes M = 0: `canonicalize` rejects a W that vanishes on
-    every edge, and every weight-search candidate has radii of norm at
+    No caller passes M = 0: `weighted_adjacency` rejects a W that vanishes
+    on every edge, and every weight-search candidate has radii of norm at
     least 1/sqrt(2) - INITIAL_STEP.
     """
     return minimal_tau(linalg.spectrum(m / np.linalg.norm(m)))
@@ -123,25 +153,6 @@ def tau_bound(g: Graph, w: WeightMatrix) -> float:
 
 INITIAL_STEP = 0.25
 MIN_STEP = 1e-4
-
-
-def _edge_index(g: Graph):
-    """Endpoint arrays (us < vs) in sorted(g.edges) order, the certificate order."""
-    us, vs = np.array(sorted(g.edges), dtype=np.intp).reshape(-1, 2).T
-    return us, vs
-
-
-def _edge_matrix(n, index, x, complex_phases):
-    """Hermitian M with r_e (or r_e exp(i phi_e)) on each edge, x = (r, phi)."""
-    us, vs = index
-    num_edges = len(us)
-    w = x[:num_edges]
-    if complex_phases:
-        w = w * np.exp(1j * x[num_edges:])
-    m = np.zeros((n, n), dtype=w.dtype)
-    m[us, vs] = w
-    m[vs, us] = np.conj(w)
-    return m
 
 
 def _normalize_radii(x, num_edges):
@@ -199,8 +210,12 @@ def optimize_weight(
     num_edges = g.num_edges
     dim = num_edges * (2 if allow_complex else 1)
 
+    def edge_values(x):
+        r = x[:num_edges]
+        return r * np.exp(1j * x[num_edges:]) if allow_complex else r
+
     def objective(x):
-        return _tau(_edge_matrix(g.n, index, x, allow_complex))
+        return _tau(_edge_matrix(g.n, index, edge_values(x)))
 
     best_x = None
     best_tau = -math.inf
@@ -217,32 +232,10 @@ def optimize_weight(
         if tau > best_tau + 1e-15:
             best_tau = tau
             best_x = x
-    m = _edge_matrix(g.n, index, best_x, allow_complex)
+    m = _edge_matrix(g.n, index, edge_values(best_x))
     m /= np.linalg.norm(m)
     w = WeightMatrix(m, f"optimized(seed={seed}, restarts={restarts}, iterations={iterations})")
     return w, float(best_tau)
-
-
-# ---------------------------------------------------------------------------
-# Barnes bound (Theorem of the diagonal-scaled adjacency matrix)
-
-
-def barnes_bound(g: Graph) -> Tuple[float, np.ndarray]:
-    """Largest eigenvalue of D^{-1/2} A D^{-1/2} plus one, and the D used.
-
-    D = |lambda_n| I, the smallest multiple of I with A + D positive
-    semidefinite, so the value equals the Hoffman bound. The matrix is
-    weighted_adjacency(g, barnes_weight(d)) = A / |lambda_n|; D is scalar,
-    so its largest eigenvalue is lambda_1 / |lambda_n|, read from the one
-    spectrum of A. Searching other feasible D gains nothing over tau:
-    A + D >= 0 gives lambda_min >= -1 for the scaled matrix, so its Barnes
-    value is at most tau_W + 1 for W = barnes_weight(d).
-    """
-    if not is_connected(g):
-        raise DisconnectedGraphError("Barnes bound requires a connected graph")
-    lam = _adjacency_spectrum(g)
-    d = np.full(g.n, abs(lam[-1]))
-    return float(lam[0] / d[0] + 1.0), d
 
 
 # ---------------------------------------------------------------------------
@@ -310,22 +303,25 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
     config = config or BoundConfig()
     report = BoundReport(graph_id=graph_id, n=g.n, m=g.num_edges, seed=config.seed)
     methods = set(config.methods)
-    edgeless = g.num_edges == 0
 
-    if "wilf" in methods:
-        report.wilf = wilf_upper_bound(g)
-    if edgeless and methods & {"hoffman", "tau-ones", "tau-opt", "barnes"}:
-        report.notes.append("edgeless: spectral lower bounds undefined, reporting 1")
-    if not edgeless:
+    if g.num_edges == 0:
+        if "wilf" in methods:
+            report.wilf = wilf_upper_bound(g)
+        if methods & {"hoffman", "tau-ones", "tau-opt", "barnes"}:
+            report.notes.append("edgeless: spectral lower bounds undefined, reporting 1")
+    else:
+        if methods & {"wilf", "hoffman", "tau-ones", "barnes"}:
+            wilf, hoffman, lam_n, lam = _adjacency_bounds(g)
+        if "wilf" in methods:
+            report.wilf = wilf
         if "hoffman" in methods:
-            report.hoffman = hoffman_bound(g)
+            report.hoffman = hoffman
         if "tau-ones" in methods:
-            report.tau_ones = tau_bound(g, ones_weight(g.n))
+            report.tau_ones = minimal_tau(lam) + 1.0
         if "barnes" in methods:
             if is_connected(g):
-                value, d = barnes_bound(g)
-                report.barnes = value
-                report.certificates["barnesD"] = [fmt12(x) for x in d]
+                report.barnes = hoffman
+                report.certificates["barnesD"] = [fmt12(lam_n)] * g.n
             else:
                 report.notes.append("disconnected: Barnes bound skipped")
         if "tau-opt" in methods:

@@ -201,7 +201,7 @@ def cmd_compare(args) -> int:
                 and report.tau_optimized > max(classical) + 1e-6
             ):
                 improvements += 1
-        except (bounds.DegenerateGraphError, ValueError) as exc:
+        except ValueError as exc:
             rows.append({"graphId": name, "error": str(exc)})
     summary = {"graphs": len(rows), "tauOptImprovements": improvements}
     if args.format == "json":
@@ -290,15 +290,19 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _count(text):
-    """argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(k):
+    """argparse type factory: an integer >= k."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = k - 1
+        if value < k:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {k}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _tolerance(text):
@@ -314,10 +318,10 @@ def _tolerance(text):
 
 def _add_bound_flags(p):
     p.add_argument("--method", default="all", choices=("all",) + ALL_METHODS[:-1])
-    p.add_argument("--restarts", type=_count, default=8)
-    p.add_argument("--iters", type=_count, default=200)
-    p.add_argument("--exact-limit", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=_int_at_least(1), default=8)
+    p.add_argument("--iters", type=_int_at_least(1), default=200)
+    p.add_argument("--exact-limit", type=_int_at_least(0), default=30)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--complex-weights", action="store_true", help="allow complex edge weights in the optimizer")
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument("--output", default=None, help="write to file instead of stdout")
@@ -337,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="exact chromatic number")
     p.add_argument("input")
-    p.add_argument("--budget", type=_count, default=exact.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_int_at_least(1), default=exact.DEFAULT_BUDGET)
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_chi)
@@ -346,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--colors", default="dsatur", help="dsatur, exact, or a coloring file path")
     p.add_argument("--weight", default="ones", choices=("ones", "random"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
-    p.add_argument("--budget", type=_count, default=exact.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_int_at_least(1), default=exact.DEFAULT_BUDGET)
     p.add_argument("--emit-map", default=None)
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument("--output", default=None)
@@ -378,7 +382,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (bounds.DegenerateGraphError, ValueError) as exc:
+    except ValueError as exc:  # every error class of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

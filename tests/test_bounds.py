@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chromabound import linalg
+from chromabound import bounds, linalg
 from chromabound.bounds import (
     BoundConfig,
     DegenerateGraphError,
@@ -11,7 +11,6 @@ from chromabound.bounds import (
     WeightMatrix,
     barnes_bound,
     barnes_weight,
-    canonicalize,
     chromatic_lower_bound,
     hoffman_bound,
     ones_weight,
@@ -64,15 +63,34 @@ class TestWeights:
 
     def test_canonicalize_zeroes_off_edges(self):
         g = cycle(4)
-        w = canonicalize(g, WeightMatrix(np.full((4, 4), 7.0)))
+        m = weighted_adjacency(g, WeightMatrix(np.full((4, 4), 7.0)))
         mask = adjacency_matrix(g)
-        assert np.array_equal(w.matrix.real != 0, mask != 0)
+        assert np.array_equal(m.real != 0, mask != 0)
 
     def test_canonicalize_rejects_vanishing(self):
         g = complete(3)
         w = WeightMatrix(np.diag([1.0, 2.0, 3.0]))
         with pytest.raises(DegenerateGraphError):
-            canonicalize(g, w)
+            weighted_adjacency(g, w)
+
+    def test_equals_masked_product(self, corpus):
+        """Bit for bit, dtype included, the Hermitian part of W * A."""
+        for name, g in corpus:
+            a = adjacency_matrix(g)
+            for seed in range(20):
+                w = WeightMatrix(linalg.random_hermitian(g.n, seed, complex_entries=seed % 2 == 1))
+                m = weighted_adjacency(g, w)
+                expected = linalg.hermitize(w.matrix * a)
+                assert m.dtype == expected.dtype, (name, seed)
+                assert np.array_equal(m, expected), (name, seed)
+
+    def test_imaginary_part_off_edges_only_gives_real(self):
+        g = cycle(5)
+        w = np.full((5, 5), 2.0, dtype=complex)
+        w[0, 2], w[2, 0] = 2.0 + 3.0j, 2.0 - 3.0j  # (0, 2) is not an edge of C5
+        m = weighted_adjacency(g, WeightMatrix(w))
+        assert not np.iscomplexobj(m)
+        assert np.array_equal(m, 2.0 * adjacency_matrix(g))
 
     def test_barnes_weight_identity_scalar(self):
         g = complete(2)
@@ -241,6 +259,44 @@ class TestReport:
                 w[u, v] = complex(re, im)
                 w[v, u] = complex(re, -im)
             assert tau_bound(g, WeightMatrix(w)) == pytest.approx(report.tau_optimized, abs=1e-9), name
+
+    def test_one_spectrum_per_report(self, monkeypatch):
+        """Wilf, Hoffman, tau-ones and Barnes share one eigensolve of one A."""
+        calls = {"spectrum": 0, "adjacency_matrix": 0, "is_connected": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(bounds.linalg, "spectrum")
+        counted(bounds, "adjacency_matrix")
+        counted(bounds, "is_connected")
+        config = BoundConfig(methods=("wilf", "hoffman", "tau-ones", "barnes", "exact"))
+        report = chromatic_lower_bound(petersen(), config, "petersen")
+        assert calls == {"spectrum": 1, "adjacency_matrix": 1, "is_connected": 1}
+        assert report.lower == report.exact_chi == 3
+
+    def test_report_matches_public_functions(self, corpus):
+        config = BoundConfig(methods=("wilf", "hoffman", "tau-ones", "barnes"))
+        for name, g in corpus:
+            report = chromatic_lower_bound(g, config, name)
+            assert report.wilf == wilf_upper_bound(g), name
+            if g.num_edges == 0:
+                continue
+            assert report.hoffman == hoffman_bound(g), name
+            assert report.tau_ones == pytest.approx(tau_bound(g, ones_weight(g.n)), rel=1e-12), name
+            if report.barnes is None:
+                with pytest.raises(DisconnectedGraphError):
+                    barnes_bound(g)
+                continue
+            value, d = barnes_bound(g)
+            assert report.barnes == value, name
+            assert report.certificates["barnesD"] == [linalg.fmt12(x) for x in d], name
 
     def test_all_bounds_below_wilf(self, corpus):
         config = BoundConfig(restarts=1, iterations=20)

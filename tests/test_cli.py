@@ -75,7 +75,8 @@ class TestBound:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--restarts", "0"), ("--restarts", "-4"), ("--iters", "0"), ("--iters", "x")],
+        [("--restarts", "0"), ("--restarts", "-4"), ("--iters", "0"), ("--iters", "x"),
+         ("--exact-limit", "-5"), ("--seed", "-3")],
     )
     def test_out_of_range_flag(self, k3_col, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -184,7 +185,7 @@ class TestReverse:
     @pytest.mark.parametrize(
         "flag, value",
         [("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
-         ("--budget", "0"), ("--budget", "-5")],
+         ("--budget", "0"), ("--budget", "-5"), ("--seed", "-1")],
     )
     def test_out_of_range_flag(self, k3_col, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:

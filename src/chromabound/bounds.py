@@ -7,9 +7,9 @@ Hermitian W. Every M is built by `_edge_matrix` from its values on the
 edge list, and M becomes tau in one evaluator (`_tau`). A report reads
 Wilf, Hoffman, Barnes and tau-ones from one spectrum of A. tau is
 homogeneous in M, so it takes no tolerance here: `minimal_tau` applies
-its own fixed relative one. The weight search is a random-restart
-pattern search; the all-ones weighting is always one of the starts, so
-the result never regresses below the Hoffman-style baseline.
+its own fixed relative one. The weight search is a gradient ascent on the
+smoothed lambda_1 / |lambda_n|, real or complex, from the all-ones
+incumbent, so the result never regresses below the Hoffman-style baseline.
 """
 
 from __future__ import annotations
@@ -131,8 +131,7 @@ def _tau(m):
     """tau of the spectrum of M / ||M||_F, for a nonzero edge-supported M.
 
     No caller passes M = 0: `weighted_adjacency` rejects a W that vanishes
-    on every edge, and every weight-search candidate has radii of norm at
-    least 1/sqrt(2) - INITIAL_STEP.
+    on every edge, and the weight search keeps ||M||_F = 1.
     """
     return minimal_tau(linalg.spectrum(m / np.linalg.norm(m)))
 
@@ -149,93 +148,92 @@ def tau_bound(g: Graph, w: WeightMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Weight optimization (derivative-free)
+# Weight optimization (gradient ascent on the smoothed Hoffman ratio)
 
-INITIAL_STEP = 0.25
-MIN_STEP = 1e-4
-
-
-def _normalize_radii(x, num_edges):
-    x = x.copy()
-    x[:num_edges] /= np.linalg.norm(x[:num_edges]) * math.sqrt(2.0)
-    return x
+STEP, MIN_STEP = 0.1, 1e-4  # step along the sphere ||M||_F = 1; a smaller one ends the ascent
+MU, MIN_MU = 0.05, 0.02  # log-sum-exp width of the smoothing, and its floor
 
 
-def _pattern_search(objective, x0, num_edges, budget):
-    """Coordinate pattern search; halve the step on a sweep without progress."""
-    x = _normalize_radii(np.asarray(x0, dtype=float), num_edges)
-    best = objective(x)
-    evals = 1
-    step = INITIAL_STEP
-    while step >= MIN_STEP and evals < budget:
-        improved = False
-        for i in range(len(x)):
-            if evals >= budget:
+def _smoothed_ratio(lam, mu):
+    """lambda_1 / -lambda_n of an ascending spectrum, both smoothed by log-sum-exp of
+    width mu, and the ratio's derivatives c_k in the eigenvalues lam_k."""
+    top_w = np.exp((lam - lam[-1]) / mu)
+    bot_w = np.exp((lam[0] - lam) / mu)
+    top = lam[-1] + mu * math.log(top_w.sum())
+    bot = lam[0] - mu * math.log(bot_w.sum())
+    ratio = top / -bot
+    return ratio, (top_w / top_w.sum() + ratio * bot_w / bot_w.sum()) / -bot
+
+
+def _edge_gradient(v, c, index):
+    """sum_k c_k dlambda_k / dz_uv = 2 sum_k c_k v_k[u] conj(v_k[v]) (Lewis & Overton 1996);
+    its real and imaginary parts are the derivatives along Re z_uv and Im z_uv."""
+    us, vs = index
+    return 2.0 * ((v * c)[us] * v[vs].conj()).sum(axis=1)
+
+
+def _ascend(n, index, z, budget):
+    """Ascent from edge values z in at most `budget` eigensolves; the last z and its tau.
+
+    Candidates are judged on eigenvalues; only an accepted one pays for the eigenvectors of
+    its gradient, which is tangent to the sphere ||M||_F = 1 (the ratio is 0-homogeneous).
+    Success (the start is one) grows the step 1.5-fold, failure halves the step and mu, and
+    a zero gradient or a step below MIN_STEP stops early.
+    """
+    step, mu, ratio = STEP, MU, -math.inf
+    cand, solves = z, 0
+    while solves < budget:
+        cand = cand / (np.linalg.norm(cand) * math.sqrt(2.0))
+        m = _edge_matrix(n, index, cand)
+        cand_lam = np.linalg.eigvalsh(m)
+        solves += 1
+        cand_ratio, c = _smoothed_ratio(cand_lam, mu)
+        if cand_ratio > ratio:
+            z, lam, ratio = cand, cand_lam, cand_ratio
+            if solves == budget:
                 break
-            for sign in (1.0, -1.0):
-                if evals >= budget:
-                    break
-                cand = x.copy()
-                cand[i] += sign * step
-                val = objective(cand)
-                evals += 1
-                if val > best + 1e-12:
-                    x = _normalize_radii(cand, num_edges)
-                    best = val
-                    improved = True
-                    break
-        if not improved:
-            step *= 0.5
-    return x, best, evals
+            grad = _edge_gradient(np.linalg.eigh(m)[1], c, index)
+            solves += 1
+            norm = np.linalg.norm(grad)
+            step *= 1.5
+        else:
+            step /= 2.0
+            mu = max(mu / 2.0, MIN_MU)
+            ratio = _smoothed_ratio(lam, mu)[0]
+        if step < MIN_STEP or norm == 0.0:
+            break
+        cand = z + (step / norm) * grad
+    return z, minimal_tau(lam)
 
 
 def optimize_weight(
-    g: Graph,
-    restarts=8,
-    iterations=200,
-    seed=0,
-    allow_complex=False,
+    g: Graph, restarts=8, iterations=200, seed=0, allow_complex=False
 ) -> Tuple[WeightMatrix, float]:
     """Heuristically maximize tau_W over Hermitian edge weightings.
 
-    Restart 0 starts from the all-ones weighting, so the returned tau is
-    at least the ones baseline; remaining restarts draw per-edge weights
-    from uniform[0.5, 1.5] (and phases from uniform[0, 2pi) when complex
-    weights are allowed), each seeded as seed + restart index.
-    `iterations` caps objective evaluations per restart.
+    Each restart runs `_ascend`, which climbs a lower bound on tau, and is scored by tau.
+    The all-ones weighting is the incumbent and restart 0's start, so the result is at
+    least the ones baseline; restart r > 0 draws per-edge weights from uniform[0.5, 1.5]
+    (times phases from uniform[0, 2pi) for complex weights), seeded as seed + r.
+    `iterations` caps eigensolves per restart.
     """
     if g.num_edges == 0:
         raise DegenerateGraphError("graph has no edges")
     index = _edge_index(g)
-    num_edges = g.num_edges
-    dim = num_edges * (2 if allow_complex else 1)
-
-    def edge_values(x):
-        r = x[:num_edges]
-        return r * np.exp(1j * x[num_edges:]) if allow_complex else r
-
-    def objective(x):
-        return _tau(_edge_matrix(g.n, index, edge_values(x)))
-
-    best_x = None
-    best_tau = -math.inf
+    best_z, best_tau = _ascend(g.n, index, np.ones(g.num_edges), 1)  # the all-ones incumbent
     for r_idx in range(max(1, restarts)):
-        x0 = np.zeros(dim)
-        if r_idx == 0:
-            x0[:num_edges] = 1.0
-        else:
+        z = np.ones(g.num_edges)
+        if r_idx > 0:
             rng = random.Random(seed + r_idx)
-            x0[:num_edges] = [rng.uniform(0.5, 1.5) for _ in range(num_edges)]
+            z = np.array([rng.uniform(0.5, 1.5) for _ in range(g.num_edges)])
             if allow_complex:
-                x0[num_edges:] = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(num_edges)]
-        x, tau, _evals = _pattern_search(objective, x0, num_edges, iterations)
+                z = z * np.exp(1j * np.array([rng.uniform(0.0, 2.0 * math.pi) for _ in range(g.num_edges)]))
+        z, tau = _ascend(g.n, index, z, max(1, iterations))
         if tau > best_tau + 1e-15:
-            best_tau = tau
-            best_x = x
-    m = _edge_matrix(g.n, index, edge_values(best_x))
-    m /= np.linalg.norm(m)
+            best_tau, best_z = tau, z
+    m = _edge_matrix(g.n, index, best_z)  # ||M||_F = 1
     w = WeightMatrix(m, f"optimized(seed={seed}, restarts={restarts}, iterations={iterations})")
-    return w, float(best_tau)
+    return w, float(_tau(m))
 
 
 # ---------------------------------------------------------------------------

@@ -320,7 +320,8 @@ def _tolerance(text):
 def _add_bound_flags(p):
     p.add_argument("--method", default="all", choices=("all",) + ALL_METHODS[:-1])
     p.add_argument("--restarts", type=_int_at_least(1), default=8)
-    p.add_argument("--iters", type=_int_at_least(1), default=200)
+    p.add_argument("--iters", type=_int_at_least(1), default=200,
+                   help="eigensolves per restart of the weight ascent; a restart may stop early")
     p.add_argument("--exact-limit", type=_int_at_least(0), default=30)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--complex-weights", action="store_true", help="allow complex edge weights in the optimizer")

@@ -44,18 +44,18 @@ class _Saturation:
 
     __slots__ = ("order", "nbr", "has", "planes", "uncolored")
 
-    def __init__(self, g: Graph):
-        adj = g.adjacency_lists()
-        order = sorted(range(g.n), key=lambda v: (len(adj[v]), -v))
-        pos = [0] * g.n
+    def __init__(self, adj):
+        n = len(adj)
+        order = sorted(range(n), key=lambda v: (len(adj[v]), -v))
+        pos = [0] * n
         for p, v in enumerate(order):
             pos[v] = p
         self.order = order
         self.nbr = [sum(1 << pos[u] for u in adj[v]) for v in order]
-        self.has = [0] * g.n  # a proper coloring never needs more than n colors
+        self.has = [0] * n  # a proper coloring never needs more than n colors
         # saturation never exceeds degree, so this many planes hold every count
         self.planes = [0] * max(map(len, adj)).bit_length()
-        self.uncolored = (1 << g.n) - 1
+        self.uncolored = (1 << n) - 1
 
     def pick(self) -> int:
         """Uncolored position of highest saturation, ties to the highest position."""
@@ -103,9 +103,13 @@ class _Saturation:
         self.uncolored |= 1 << p
 
 
-def greedy_dsatur(g: Graph) -> Coloring:
-    """Proper coloring by descending saturation; ties by degree then index."""
-    state = _Saturation(g)
+def greedy_dsatur(g: Graph, adj=None) -> Coloring:
+    """Proper coloring by descending saturation; ties by degree then index.
+
+    adj, if given, is g.adjacency_lists(), so a caller that already has
+    the lists does not rebuild them.
+    """
+    state = _Saturation(g.adjacency_lists() if adj is None else adj)
     colors = [0] * g.n
     for _ in range(g.n):
         p = state.pick()
@@ -115,9 +119,9 @@ def greedy_dsatur(g: Graph) -> Coloring:
     return Coloring(tuple(colors), max(colors) + 1)
 
 
-def greedy_clique(g: Graph) -> list:
-    """Greedy max clique (degree order); lower bound seed for the search."""
-    adj = [set(nbrs) for nbrs in g.adjacency_lists()]
+def greedy_clique(g: Graph, adj=None) -> list:
+    """Greedy max clique (degree order); lower bound seed for the search; adj as in greedy_dsatur."""
+    adj = [set(nbrs) for nbrs in (g.adjacency_lists() if adj is None else adj)]
     order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
     clique = []
     for v in order:
@@ -135,15 +139,16 @@ def exact_chi(g: Graph, budget=DEFAULT_BUDGET) -> ColoringResult:
     the stack depth is the number of colored vertices. At most `budget`
     nodes are explored.
     """
-    seed = greedy_dsatur(g)
+    adj = g.adjacency_lists()
+    seed = greedy_dsatur(g, adj)
     best_colors = seed.colors
     best_k = seed.num_colors
-    lower = max(1, len(greedy_clique(g)))
+    lower = max(1, len(greedy_clique(g, adj)))
     nodes = 0
     exhausted = False
 
     if best_k > lower:
-        state = _Saturation(g)
+        state = _Saturation(adj)
         # bound once: the loop below calls each of these once per node
         pick, first_free, color, uncolor = state.pick, state.first_free, state.color, state.uncolor
         stack = []

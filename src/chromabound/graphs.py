@@ -54,7 +54,7 @@ class Graph:
 
     def adjacency_lists(self):
         adj = [[] for _ in range(self.n)]
-        for u, v in sorted(self.edges):
+        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
         for nbrs in adj:

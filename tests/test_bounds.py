@@ -19,6 +19,7 @@ from chromabound.bounds import (
     weighted_adjacency,
     wilf_upper_bound,
 )
+from chromabound.exact import exact_chi
 from chromabound.graphs import Graph, adjacency_matrix, complete, cycle, petersen, star
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
@@ -185,6 +186,83 @@ class TestOptimizeWeight:
     def test_edgeless_rejected(self):
         with pytest.raises(DegenerateGraphError):
             optimize_weight(Graph(3))
+
+    def test_empty_budget_runs_one_evaluation(self):
+        """restarts < 1 and iterations < 1 still score one start: the ones baseline."""
+        baseline = tau_bound(cycle(5), ones_weight(5)) - 1.0
+        _w, tau = optimize_weight(cycle(5), restarts=0, iterations=0)
+        assert tau == pytest.approx(baseline, abs=1e-12)
+
+    @pytest.mark.parametrize("allow_complex", [False, True])
+    @pytest.mark.parametrize("g", [complete(2), star(5), cycle(4), complete(5)], ids=["K2", "star5", "C4", "K5"])
+    def test_ones_optimal_graphs_keep_baseline(self, g, allow_complex):
+        """Where all-ones already gives tau + 1 = chi, the ascent neither fails nor drifts."""
+        baseline = tau_bound(g, ones_weight(g.n)) - 1.0
+        _w, tau = optimize_weight(g, restarts=3, iterations=60, seed=5, allow_complex=allow_complex)
+        assert tau == pytest.approx(baseline, abs=1e-9)
+
+
+def _ratio_at(g, z, mu):
+    """The smoothed ratio at edge values z, and its gradient as the ascent computes it."""
+    index = bounds._edge_index(g)
+    lam, v = np.linalg.eigh(bounds._edge_matrix(g.n, index, z))
+    ratio, c = bounds._smoothed_ratio(lam, mu)
+    return ratio, bounds._edge_gradient(v, c, index)
+
+
+class TestAscentGradient:
+    @pytest.mark.parametrize("allow_complex", [False, True])
+    def test_matches_central_differences(self, allow_complex):
+        """The edge gradient is d/dRe z_uv + i d/dIm z_uv of the smoothed ratio."""
+        g = petersen()
+        rng = np.random.default_rng(3)
+        z = rng.uniform(0.5, 1.5, g.num_edges)
+        if allow_complex:
+            z = z * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, g.num_edges))
+        mu, h = 0.05, 1e-6
+        _ratio, grad = _ratio_at(g, z, mu)
+        assert np.iscomplexobj(grad) == allow_complex
+        directions = (1.0, 1j) if allow_complex else (1.0,)
+        for part, direction in zip((grad.real, grad.imag), directions):
+            fd = np.empty(g.num_edges)
+            for e in range(g.num_edges):
+                dz = np.zeros(g.num_edges, dtype=z.dtype)
+                dz[e] = h * direction
+                fd[e] = (_ratio_at(g, z + dz, mu)[0] - _ratio_at(g, z - dz, mu)[0]) / (2 * h)
+            assert np.max(np.abs(fd)) > 1e-3  # a vanishing part would test nothing
+            assert part == pytest.approx(fd, abs=1e-7)
+
+
+class TestAscentQuality:
+    GATE = ("gnp11_s3", "gnp13_s5", "gnp14_s6", "gnp15_s7", "gnp16_s8")
+
+    @pytest.fixture(scope="class")
+    def chi(self, corpus):
+        return {name: exact_chi(g).chi for name, g in corpus if g.num_edges}
+
+    @pytest.mark.parametrize("allow_complex", [False, True])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_tight_where_theta_is_chi(self, corpus, chi, seed, allow_complex):
+        """At the perfbench budget the ascent reaches chi on G(n, p) graphs whose theta(G-bar) is chi."""
+        config = BoundConfig(restarts=2, iterations=60, seed=seed, allow_complex=allow_complex,
+                             methods=("tau-opt",))
+        for name, g in corpus:
+            if name in self.GATE:
+                assert chromatic_lower_bound(g, config, name).lower == chi[name], name
+
+    @pytest.mark.parametrize("budget", [(2, 60), (8, 200)], ids=["perfbench", "default"])
+    @pytest.mark.parametrize("allow_complex", [False, True])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_sound_and_above_ones(self, corpus, chi, seed, allow_complex, budget):
+        restarts, iterations = budget
+        config = BoundConfig(restarts=restarts, iterations=iterations, seed=seed,
+                             allow_complex=allow_complex, methods=("tau-ones", "tau-opt"))
+        for name, g in corpus:
+            if g.num_edges == 0:
+                continue
+            report = chromatic_lower_bound(g, config, name)
+            assert report.tau_optimized <= chi[name] + 1e-9, name
+            assert report.tau_optimized >= report.tau_ones - 1e-9, name
 
 
 class TestBarnes:

@@ -289,6 +289,21 @@ class TestExactChi:
             assert is_proper(g, colors)
             assert max(colors) + 1 == result.chi
 
+    def test_adjacency_lists_built_once(self, monkeypatch):
+        """Greedy DSATUR, the greedy clique and the search share one set of lists."""
+        calls = []
+        inner = Graph.adjacency_lists
+
+        def counted(self):
+            calls.append(self)
+            return inner(self)
+
+        monkeypatch.setattr(Graph, "adjacency_lists", counted)
+        g = petersen()
+        result = exact_chi(g)
+        assert len(calls) == 1
+        assert result.chi == 3 and result.nodes_explored > 0  # the search ran
+
     def test_deterministic(self):
         g = erdos_renyi(12, 0.5, 4)
         r1 = exact_chi(g)

@@ -173,8 +173,9 @@ def _edge_gradient(v, c, index):
 
 
 def _ascend(n, index, z, budget):
-    """Ascent from edge values z in at most `budget` eigensolves; the last z and its tau.
+    """Ascent from edge values z in at most `budget` eigensolves.
 
+    Returns the normalized start and its spectrum, then the last z and its spectrum.
     Candidates are judged on eigenvalues; only an accepted one pays for the eigenvectors of
     its gradient, which is tangent to the sphere ||M||_F = 1 (the ratio is 0-homogeneous).
     Success (the start is one) grows the step 1.5-fold, failure halves the step and mu, and
@@ -190,6 +191,8 @@ def _ascend(n, index, z, budget):
         cand_ratio, c = _smoothed_ratio(cand_lam, mu)
         if cand_ratio > ratio:
             z, lam, ratio = cand, cand_lam, cand_ratio
+            if solves == 1:
+                start = z, lam
             if solves == budget:
                 break
             grad = _edge_gradient(np.linalg.eigh(m)[1], c, index)
@@ -198,12 +201,13 @@ def _ascend(n, index, z, budget):
             step *= 1.5
         else:
             step /= 2.0
-            mu = max(mu / 2.0, MIN_MU)
-            ratio = _smoothed_ratio(lam, mu)[0]
+            if mu > MIN_MU:  # at the floor the smoothed ratio of lam stays as it is
+                mu = max(mu / 2.0, MIN_MU)
+                ratio = _smoothed_ratio(lam, mu)[0]
         if step < MIN_STEP or norm == 0.0:
             break
         cand = z + (step / norm) * grad
-    return z, minimal_tau(lam)
+    return start, (z, lam)
 
 
 def optimize_weight(
@@ -220,7 +224,6 @@ def optimize_weight(
     if g.num_edges == 0:
         raise DegenerateGraphError("graph has no edges")
     index = _edge_index(g)
-    best_z, best_tau = _ascend(g.n, index, np.ones(g.num_edges), 1)  # the all-ones incumbent
     for r_idx in range(max(1, restarts)):
         z = np.ones(g.num_edges)
         if r_idx > 0:
@@ -228,7 +231,10 @@ def optimize_weight(
             z = np.array([rng.uniform(0.5, 1.5) for _ in range(g.num_edges)])
             if allow_complex:
                 z = z * np.exp(1j * np.array([rng.uniform(0.0, 2.0 * math.pi) for _ in range(g.num_edges)]))
-        z, tau = _ascend(g.n, index, z, max(1, iterations))
+        start, (z, lam) = _ascend(g.n, index, z, max(1, iterations))
+        if r_idx == 0:  # restart 0 starts at all-ones, the incumbent
+            best_z, best_tau = start[0], minimal_tau(start[1])
+        tau = minimal_tau(lam)
         if tau > best_tau + 1e-15:
             best_tau, best_z = tau, z
     m = _edge_matrix(g.n, index, best_z)  # ||M||_F = 1

@@ -187,7 +187,7 @@ def cmd_compare(args) -> int:
         raise CliError("compare needs input files or --gen-corpus")
     config = _bound_config(args)
     rows = []
-    improvements = 0
+    improvements = tight = 0
     for name, g in named:
         try:
             report = bounds.chromatic_lower_bound(g, config, graph_id=name)
@@ -202,9 +202,11 @@ def cmd_compare(args) -> int:
                 and report.tau_optimized > max(classical) + 1e-6
             ):
                 improvements += 1
+            if report.exact_chi is not None and report.lower == report.exact_chi:
+                tight += 1
         except ValueError as exc:
             rows.append({"graphId": name, "error": str(exc)})
-    summary = {"graphs": len(rows), "tauOptImprovements": improvements}
+    summary = {"graphs": len(rows), "tauOptImprovements": improvements, "lowerEqualsChi": tight}
     if args.format == "json":
         _write_output(_dump_json({"rows": rows, "summary": summary}), args.output)
     else:
@@ -226,7 +228,7 @@ def cmd_compare(args) -> int:
             )
         lines.append(
             f"{summary['graphs']} graphs; tau-opt beats hoffman/barnes on "
-            f"{summary['tauOptImprovements']}"
+            f"{summary['tauOptImprovements']}; lower equals exact chi on {summary['lowerEqualsChi']}"
         )
         _write_output("\n".join(lines) + "\n", args.output)
     return EXIT_OK

@@ -193,6 +193,22 @@ class TestOptimizeWeight:
         _w, tau = optimize_weight(cycle(5), restarts=0, iterations=0)
         assert tau == pytest.approx(baseline, abs=1e-12)
 
+    def test_incumbent_reuses_restart_zero_start(self, monkeypatch):
+        """The all-ones incumbent is restart 0's start: one eigvalsh there, one for the final tau."""
+        calls = []
+        inner = np.linalg.eigvalsh
+
+        def counted(m):
+            calls.append(m.shape)
+            return inner(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        baseline = tau_bound(petersen(), ones_weight(10)) - 1.0
+        calls.clear()
+        _w, tau = optimize_weight(petersen(), restarts=1, iterations=1)
+        assert len(calls) == 2
+        assert tau == pytest.approx(baseline, abs=1e-12)
+
     @pytest.mark.parametrize("allow_complex", [False, True])
     @pytest.mark.parametrize("g", [complete(2), star(5), cycle(4), complete(5)], ids=["K2", "star5", "C4", "K5"])
     def test_ones_optimal_graphs_keep_baseline(self, g, allow_complex):

@@ -239,6 +239,7 @@ class TestCompare:
         assert main(["compare", "--gen-corpus", "--format", "json", "--restarts", "1",
                      "--iters", "10", "--seed", "3"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
+        tight = 0
         for row in doc["rows"]:
             assert "error" not in row
             chi = row["exactChi"]
@@ -248,12 +249,16 @@ class TestCompare:
                 if row[key] is not None:
                     assert row[key] <= chi + 1e-6
             assert row["wilf"] >= chi - 1e-6
+            tight += row["lower"] == chi
+        assert doc["summary"]["lowerEqualsChi"] == tight
+        assert 0 < tight < len(doc["rows"])
 
     def test_text_table(self, k3_col, capsys):
         assert main(["compare", k3_col, "--restarts", "1", "--iters", "10"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "K3".lower() in out.lower() or "k3" in out
         assert "tau-opt beats" in out
+        assert out.splitlines()[-1].endswith("; lower equals exact chi on 1")
 
     def test_determinism_bytes(self, capsys):
         argv = ["compare", "--gen-corpus", "--format", "json", "--restarts", "1",

@@ -26,7 +26,7 @@ def test_claim_met_on_clear_gain():
     out = bench_pairs.compare_metric(HIGHER, parent, change, claimed=True)
     assert (out["change_wins"], out["ties"]) == (10, 0)
     assert out["change_vs_parent"] == pytest.approx(0.4)
-    assert out["within_bound"] and out["claim_met"]
+    assert out["bound_check"] == "within" and out["claim_met"]
 
 
 def test_claim_not_met_inside_parent_spread():
@@ -39,5 +39,16 @@ def test_claim_not_met_inside_parent_spread():
 def test_bound_and_ties_for_lower_is_better():
     out = bench_pairs.compare_metric(LOWER, [1.0, 1.0, 1.0], [1.3, 1.0, 1.3], claimed=False)
     assert (out["change_wins"], out["ties"]) == (0, 1)
-    assert not out["within_bound"]
+    assert out["bound_check"] == "worse"
     assert "claim_met" not in out
+
+
+def test_bound_unresolved_when_parent_spread_exceeds_bound():
+    parent = [1.0, 1.5, 1.0, 1.5]  # IQR 0.5 > 25 % of the median 1.25
+    out = bench_pairs.compare_metric(HIGHER, parent, [1.1, 1.4, 1.2, 1.3], claimed=False)
+    assert out["change_vs_parent"] == 0.0 and out["bound_check"] == "unresolved"
+    # every change run beating every parent run settles it despite the spread
+    out = bench_pairs.compare_metric(HIGHER, parent, [1.6, 1.7, 1.6, 1.7], claimed=False)
+    assert out["bound_check"] == "within"
+    out = bench_pairs.compare_metric(LOWER, parent, [0.9, 0.8, 0.9, 0.8], claimed=False)
+    assert out["bound_check"] == "within"

@@ -5,19 +5,23 @@
         --title "..." --claim exact-hard:jobs_per_s
 
 Each workload of the change's BENCHMARK.json runs `python3 perfbench/run.py`
---pairs times in each checkout, untraced, alternating which side runs first
-(odd pairs parent first), then once traced per side. Both sides run their
-own perfbench/, so the two must be the same for the numbers to compare;
-the tool writes nothing under either checkout but the output file
-(perfbench itself writes `.perfbench_out/` on traced runs).
+for its `run_seconds` ten times in each checkout, untraced, alternating which
+side runs first (odd pairs parent first), then once traced per side. Both
+sides run their own perfbench/, so the two must be the same for the numbers
+to compare; the tool writes nothing under either checkout but
+BENCH_<pr>.json in the change checkout (perfbench itself writes
+`.perfbench_out/` on traced runs).
 
 For every end-to-end metric the output holds each side's runs, median and
 inclusive quartiles, the change's median relative to the parent's, the
-pairs the change won (ties count for neither), the parent's IQR and
-whether the change stays within the metric's bound. A --claim metric also
-gets `claim_met`: at least nine tenths of the pairs won and the medians
-apart by more than the parent's IQR. The quality numbers (lower_sum,
-bound_sum, tight_count, tau_opt_gains) come from each run's `quality` line.
+pairs the change won (ties count for neither), the parent's IQR and a
+`bound_check`: "within" or "worse" than the metric's bound by the medians,
+or "unresolved" when the parent's IQR is wider than the bound (relative to
+its median) and not every change run beats every parent run. A --claim
+metric also gets `claim_met`: at least nine tenths of the pairs won and the
+medians apart by more than the parent's IQR. The quality numbers
+(lower_sum, bound_sum, tight_count, tau_opt_gains) come from each run's
+`quality` line.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+PAIRS = 10
 PER_LAYER_KEPT = (
     "exact.nodes",
     "exact.nodes_per_s",
@@ -79,11 +84,16 @@ def compare_metric(spec, parent, change, claimed):
     ties = sum(a == b for a, b in zip(parent, change))
     rel = (c["median"] - p["median"]) / p["median"] if p["median"] else 0.0
     iqr = p["q3"] - p["q1"]
+    noisy = iqr > spec["bound"] * abs(p["median"])
+    if noisy and not min(sign * x for x in change) > max(sign * x for x in parent):
+        check = "unresolved"
+    else:
+        check = "within" if -sign * rel <= spec["bound"] else "worse"
     out = {
         "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
         "parent": p, "change": c, "change_vs_parent": rel,
         "change_wins": wins, "ties": ties, "parent_iqr": iqr,
-        "within_bound": -sign * rel <= spec["bound"],
+        "bound_check": check,
     }
     if claimed:
         out["claim_met"] = wins >= 0.9 * len(parent) and sign * (c["median"] - p["median"]) > iqr
@@ -99,19 +109,18 @@ def distinct(values):
     return out
 
 
-def bench_workload(args, workload, specs, claimed):
-    sides = {"parent": args.parent, "change": args.change}
+def bench_workload(sides, workload, seed, seconds, specs, claimed):
     runs = {side: [] for side in sides}
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(sides[side], workload, args.seed, args.seconds, 0))
+            runs[side].append(run_once(sides[side], workload, seed, seconds, 0))
             value = runs[side][-1]["metrics"][claimed or "jobs_per_s"]
-            print(f"{workload} pair {i + 1}/{args.pairs} {side}: {value:g}", file=sys.stderr, flush=True)
-    traced = {side: run_once(sides[side], workload, args.seed, args.seconds, 1) for side in sides}
+            print(f"{workload} pair {i + 1}/{PAIRS} {side}: {value:g}", file=sys.stderr, flush=True)
+    traced = {side: run_once(sides[side], workload, seed, seconds, 1) for side in sides}
     return {
-        "seed": args.seed,
-        "pairs": args.pairs,
+        "seed": seed,
+        "pairs": PAIRS,
         "env": distinct(r["env"] for side in sides for r in runs[side]),
         "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in sides},
         "failed_jobs": {side: sum(r["failed"] for r in runs[side]) for side in sides},
@@ -154,16 +163,14 @@ def main(argv=None):
     parser.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC",
                         help="end-to-end metric claimed to improve; repeatable")
     parser.add_argument("--workload", action="append", help="default: every workload of BENCHMARK.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--seed", type=int, default=47)
-    parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json in the change checkout")
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    args.seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     claims = dict(c.split(":", 1) for c in args.claim)
     names = args.workload or [w["name"] for w in bench["workloads"]]
-    out_path = args.out or args.change / f"BENCH_{args.pr}.json"
+    sides = {"parent": args.parent, "change": args.change}
+    out_path = args.change / f"BENCH_{args.pr}.json"
     doc = {
         "title": args.title,
         "parent": git_rev(args.parent),
@@ -171,7 +178,7 @@ def main(argv=None):
         "machine": {"cpu": cpu_model(), "nproc": os.cpu_count(), "platform": platform.platform()},
         "end_to_end": {
             "command": f"python3 perfbench/run.py --workload <w> --seed {args.seed} "
-                       f"--seconds {args.seconds:g} --trace 0",
+                       f"--seconds {seconds:g} --trace 0",
             "method": "alternating parent/change pairs (odd pairs parent first); median and inclusive "
                       "quartiles over runs; change_wins counts pairs where the change is better, ties "
                       "for neither; traced holds one --trace 1 run per side",
@@ -180,7 +187,8 @@ def main(argv=None):
         },
     }
     for name in names:
-        doc["end_to_end"]["workloads"][name] = bench_workload(args, name, bench["end_to_end"], claims.get(name))
+        doc["end_to_end"]["workloads"][name] = bench_workload(
+            sides, name, args.seed, seconds, bench["end_to_end"], claims.get(name))
         out_path.write_text(json.dumps(doc, indent=1) + "\n")  # after each workload, so a cut run keeps its part
     print(out_path)
 

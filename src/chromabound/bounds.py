@@ -148,6 +148,14 @@ def tau_bound(g: Graph, w: WeightMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Defaults shared by optimize_weight, BoundConfig and the CLI flags
+
+METHODS = ("wilf", "hoffman", "tau-ones", "barnes", "tau-opt", "exact")
+DEFAULT_RESTARTS, DEFAULT_ITERATIONS, DEFAULT_SEED = 8, 200, 0
+DEFAULT_EXACT_LIMIT = 30  # the exact oracle runs on graphs with at most this many vertices
+
+
+# ---------------------------------------------------------------------------
 # Weight optimization (gradient ascent on the smoothed Hoffman ratio)
 
 STEP, MIN_STEP = 0.1, 1e-4  # step along the sphere ||M||_F = 1; a smaller one ends the ascent
@@ -211,7 +219,7 @@ def _ascend(n, index, z, budget):
 
 
 def optimize_weight(
-    g: Graph, restarts=8, iterations=200, seed=0, allow_complex=False
+    g: Graph, restarts=DEFAULT_RESTARTS, iterations=DEFAULT_ITERATIONS, seed=DEFAULT_SEED, allow_complex=False
 ) -> Tuple[WeightMatrix, float]:
     """Heuristically maximize tau_W over Hermitian edge weightings.
 
@@ -248,12 +256,12 @@ def optimize_weight(
 
 @dataclass
 class BoundConfig:
-    restarts: int = 8
-    iterations: int = 200
-    seed: int = 0
+    restarts: int = DEFAULT_RESTARTS
+    iterations: int = DEFAULT_ITERATIONS
+    seed: int = DEFAULT_SEED
     allow_complex: bool = False
-    exact_limit: int = 30
-    methods: Tuple[str, ...] = ("wilf", "hoffman", "tau-ones", "barnes", "tau-opt", "exact")
+    exact_limit: int = DEFAULT_EXACT_LIMIT
+    methods: Tuple[str, ...] = METHODS
 
 
 @dataclass

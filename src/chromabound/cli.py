@@ -2,7 +2,8 @@
 exact coloring, corpus comparison, and graph generation.
 
 Exit codes: 0 success, 2 input/parameter error, 3 improper coloring,
-4 exact-oracle timeout.
+4 exact-oracle timeout. Generator kinds and the vertex limit (`MAX_VERTICES`)
+live in `graphs`, bound defaults and method names in `bounds`.
 """
 
 from __future__ import annotations
@@ -20,15 +21,6 @@ EXIT_INPUT = 2
 EXIT_IMPROPER = 3
 EXIT_TIMEOUT = 4
 
-ALL_METHODS = ("wilf", "hoffman", "tau-ones", "barnes", "tau-opt", "exact")
-
-# Vertex limit for every command that loads or generates a graph. bound,
-# compare and reverse build dense n x n matrices (64 MiB each when complex at
-# this n), and chi's DSATUR works on n-bit integers (at this n on G(n, 0.01),
-# greedy DSATUR takes 0.03 s and the default budget of 10^6 nodes about 6 s).
-# reverse also caps its map at MAX_DENSE_N^2 unitary entries.
-MAX_DENSE_N = 2048
-
 
 class CliError(Exception):
     def __init__(self, message, code=EXIT_INPUT):
@@ -37,7 +29,7 @@ class CliError(Exception):
 
 
 def _load_graph(path) -> graphs.Graph:
-    """Parse a DIMACS file; reject graphs with more than MAX_DENSE_N vertices."""
+    """Parse a DIMACS file; reject graphs with more than graphs.MAX_VERTICES vertices."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -46,14 +38,18 @@ def _load_graph(path) -> graphs.Graph:
         g = graphs.parse_dimacs(text)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}")
-    if g.n > MAX_DENSE_N:
-        raise CliError(f"{path}: {g.n} vertices exceed the limit of {MAX_DENSE_N}")
+    if g.n > graphs.MAX_VERTICES:
+        raise CliError(f"{path}: {g.n} vertices exceed the limit of {graphs.MAX_VERTICES}")
     return g
 
 
 def _write_output(text, output):
+    """Write to the file `output`, or to stdout when it is None."""
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {output}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -75,7 +71,7 @@ def _report_text(doc) -> str:
 
 
 def _bound_config(args) -> bounds.BoundConfig:
-    methods = ALL_METHODS if args.method == "all" else (args.method, "exact")
+    methods = bounds.METHODS if args.method == "all" else (args.method, "exact")
     return bounds.BoundConfig(
         restarts=args.restarts,
         iterations=args.iters,
@@ -106,11 +102,9 @@ def cmd_chi(args) -> int:
         "nodesExplored": result.nodes_explored,
         "witness": list(result.witness.colors),
     }
-    if args.format == "json":
-        _write_output(_dump_json(doc), args.output)
-    else:
-        status = "exact" if not result.timed_out else "timed out (best known)"
-        _write_output(f"chi = {result.chi} ({status}, {result.nodes_explored} nodes)\n", args.output)
+    status = "exact" if not result.timed_out else "timed out (best known)"
+    text = f"chi = {result.chi} ({status}, {result.nodes_explored} nodes)\n"
+    _write_output(_dump_json(doc) if args.format == "json" else text, args.output)
     return EXIT_TIMEOUT if result.timed_out else EXIT_OK
 
 
@@ -144,10 +138,10 @@ def cmd_reverse(args) -> int:
         raise CliError("graph has no edges; nothing to reverse")
     coloring = _coloring_for(g, args.colors, args.budget)
     entries = (coloring.num_colors - 1) * g.n * g.n
-    if entries > MAX_DENSE_N**2:
+    if entries > graphs.MAX_VERTICES**2:
         raise CliError(
             f"a map of {coloring.num_colors - 1} unitaries of size {g.n}x{g.n} has "
-            f"{entries} entries, above the limit of {MAX_DENSE_N**2}"
+            f"{entries} entries, above the limit of {graphs.MAX_VERTICES**2}"
         )
     if args.weight == "ones":
         w = bounds.ones_weight(g.n)
@@ -165,16 +159,13 @@ def cmd_reverse(args) -> int:
         "ok": check.ok,
     }
     if args.emit_map:
-        Path(args.emit_map).write_text(_dump_json(reversal.serialize_map(rmap)))
-    if args.format == "json":
-        _write_output(_dump_json(doc), args.output)
-    else:
-        _write_output(
-            f"colors {coloring.num_colors}, cost {doc['cost']} "
-            f"(target {doc['costTarget']}), residual {doc['residual']:.3e}, "
-            f"{'ok' if check.ok else 'FAILED'}\n",
-            args.output,
-        )
+        _write_output(_dump_json(reversal.serialize_map(rmap)), args.emit_map)
+    text = (
+        f"colors {coloring.num_colors}, cost {doc['cost']} "
+        f"(target {doc['costTarget']}), residual {doc['residual']:.3e}, "
+        f"{'ok' if check.ok else 'FAILED'}\n"
+    )
+    _write_output(_dump_json(doc) if args.format == "json" else text, args.output)
     return EXIT_OK
 
 
@@ -234,62 +225,9 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _check_gen_size(desc, count, at_least=False):
-    """Refuse a generated graph from its vertex count, before it is built."""
-    if count > MAX_DENSE_N:
-        bound = "at least " if at_least else ""
-        raise CliError(f"{desc}: {bound}{count} vertices exceed the limit of {MAX_DENSE_N}")
-
-
 def cmd_gen(args) -> int:
-    kind = args.kind
-    params = args.params
-    try:
-        if kind in ("complete", "cycle", "star"):
-            if len(params) != 1:
-                raise ValueError(f"{kind} takes one parameter: n")
-            desc = f"{kind}({params[0]})"
-            n = int(params[0])
-            _check_gen_size(desc, n)
-            g = graphs.generate(kind, n=n)
-        elif kind == "petersen":
-            if params:
-                raise ValueError("petersen takes no parameters")
-            g = graphs.petersen()
-            desc = "petersen"
-        elif kind == "kneser":
-            if len(params) != 2:
-                raise ValueError("kneser takes two parameters: n k")
-            desc = f"kneser({params[0]}, {params[1]})"
-            n, k = int(params[0]), int(params[1])
-            if 1 <= k <= n // 2:  # else graphs.kneser rejects (n, k)
-                _check_gen_size(desc, n, at_least=True)  # C(n, k) >= n
-                _check_gen_size(desc, math.comb(n, k))
-            g = graphs.kneser(n, k)
-        elif kind == "mycielski":
-            if len(params) != 1:
-                raise ValueError("mycielski takes one parameter: tower height over K2")
-            levels = int(params[0])
-            if levels < 1:
-                raise ValueError("tower height must be >= 1")
-            desc = f"mycielski tower level {levels}"
-            # level L has 3 * 2^L - 1 vertices; level 11 is far past the limit
-            _check_gen_size(desc, 3 * 2 ** min(levels, 11) - 1, at_least=levels > 11)
-            g = graphs.complete(2)
-            for _ in range(levels):
-                g = graphs.mycielski(g)
-        elif kind == "erdos-renyi":
-            if len(params) != 3:
-                raise ValueError("erdos-renyi takes three parameters: n p seed")
-            desc = f"erdos_renyi({params[0]}, {params[1]}, seed={params[2]})"
-            n = int(params[0])
-            _check_gen_size(desc, n)
-            g = graphs.erdos_renyi(n, float(params[1]), int(params[2]))
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-    except ValueError as exc:
-        raise CliError(str(exc))
-    _write_output(graphs.emit_dimacs(g, comment=desc), args.out)
+    g = graphs.generate(args.kind, *args.params)
+    _write_output(graphs.emit_dimacs(g, comment=f"{args.kind}({', '.join(args.params)})"), args.out)
     return EXIT_OK
 
 
@@ -320,13 +258,16 @@ def _tolerance(text):
 
 
 def _add_bound_flags(p):
-    p.add_argument("--method", default="all", choices=("all",) + ALL_METHODS[:-1])
-    p.add_argument("--restarts", type=_int_at_least(1), default=8)
-    p.add_argument("--iters", type=_int_at_least(1), default=200,
+    p.add_argument("--method", default="all", choices=("all",) + bounds.METHODS[:-1])
+    p.add_argument("--restarts", type=_int_at_least(1), default=bounds.DEFAULT_RESTARTS)
+    p.add_argument("--iters", type=_int_at_least(1), default=bounds.DEFAULT_ITERATIONS,
                    help="eigensolves per restart of the weight ascent; a restart may stop early")
-    p.add_argument("--exact-limit", type=_int_at_least(0), default=30)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--exact-limit", type=_int_at_least(0), default=bounds.DEFAULT_EXACT_LIMIT)
+    p.add_argument("--seed", type=_int_at_least(0), default=bounds.DEFAULT_SEED)
     p.add_argument("--complex-weights", action="store_true", help="allow complex edge weights in the optimizer")
+
+
+def _add_output_flags(p):
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument("--output", default=None, help="write to file instead of stdout")
 
@@ -341,13 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="compute bounds for one DIMACS graph")
     p.add_argument("input")
     _add_bound_flags(p)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("chi", help="exact chromatic number")
     p.add_argument("input")
     p.add_argument("--budget", type=_int_at_least(1), default=exact.DEFAULT_BUDGET)
-    p.add_argument("--format", default="text", choices=("text", "json"))
-    p.add_argument("--output", default=None)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_chi)
 
     p = sub.add_parser("reverse", help="build and verify a coloring-derived sign-reversal map")
@@ -358,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--budget", type=_int_at_least(1), default=exact.DEFAULT_BUDGET)
     p.add_argument("--emit-map", default=None)
-    p.add_argument("--format", default="text", choices=("text", "json"))
-    p.add_argument("--output", default=None)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_reverse)
 
     p = sub.add_parser("compare", help="bound table over many graphs")
@@ -367,11 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen-corpus", action="store_true", help="use the built-in corpus")
     p.add_argument("--certificates", action="store_true", help="keep certificates in json rows")
     _add_bound_flags(p)
+    _add_output_flags(p)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("gen", help="emit a generated graph as DIMACS")
-    p.add_argument("kind")
-    p.add_argument("params", nargs="*")
+    kinds = "".join(f"\n  {graphs.generator_usage(kind)}" for kind in graphs.GENERATORS)
+    p = sub.add_parser("gen", help="emit a generated graph as DIMACS", epilog="kinds and parameters:" + kinds,
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("kind", help="generator kind, listed below")
+    p.add_argument("params", nargs="*", help="the kind's parameters, in order")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 

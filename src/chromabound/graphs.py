@@ -1,12 +1,21 @@
-"""Simple undirected graphs: DIMACS I/O and deterministic generators."""
+"""Simple undirected graphs: DIMACS I/O and deterministic generators. `generate` builds
+any kind in `GENERATORS` and refuses more than `MAX_VERTICES` vertices before building."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
+
+# Vertex limit for every graph the CLI loads or generates. bound, compare and
+# reverse build dense n x n matrices (64 MiB each when complex at this n), and
+# chi's DSATUR works on n-bit integers (at this n on G(n, 0.01), greedy DSATUR
+# takes 0.03 s and the default budget of 10^6 nodes about 6 s). reverse also
+# caps its map at MAX_VERTICES^2 unitary entries.
+MAX_VERTICES = 2048
 
 
 class DimacsError(ValueError):
@@ -211,20 +220,57 @@ def erdos_renyi(n, p, seed) -> Graph:
     return Graph(n, edges)
 
 
-def generate(kind, **params) -> Graph:
-    """Dispatch by generator name; see the individual constructors."""
-    makers = {
-        "complete": complete,
-        "cycle": cycle,
-        "star": star,
-        "kneser": kneser,
-        "petersen": petersen,
-        "mycielski": mycielski,
-        "erdos_renyi": erdos_renyi,
-    }
-    if kind not in makers:
-        raise ValueError(f"unknown graph kind {kind!r}")
-    return makers[kind](**params)
+def mycielski_tower(levels) -> Graph:
+    """Mycielski's construction `levels` times over K2: chi = levels + 2, 3 * 2^levels - 1 vertices."""
+    if levels < 1:
+        raise ValueError(f"mycielski tower needs levels >= 1, got {levels}")
+    g = complete(2)
+    for _ in range(levels):
+        g = mycielski(g)
+    return g
+
+
+def _kneser_count(n, k):
+    if not 1 <= k <= n // 2:  # kneser() rejects (n, k)
+        return 0, False
+    if n > MAX_VERTICES:  # C(n, k) >= n, and too costly to compute at large n
+        return n, True
+    return math.comb(n, k), False
+
+
+# kind -> ((parameter, type), ...), vertex count from the parameters, builder. The count is
+# (vertices, is a lower bound); a lower bound stands in where the exact count is too large.
+GENERATORS = {
+    "complete": ((("n", int),), lambda n: (n, False), complete),
+    "cycle": ((("n", int),), lambda n: (n, False), cycle),
+    "star": ((("n", int),), lambda n: (n, False), star),
+    "petersen": ((), lambda: (10, False), petersen),
+    "kneser": ((("n", int), ("k", int)), _kneser_count, kneser),
+    # level 11 already has 6143 vertices
+    "mycielski": ((("levels", int),), lambda lv: (3 * 2 ** min(lv, 11) - 1, lv > 11), mycielski_tower),
+    "erdos-renyi": ((("n", int), ("p", float), ("seed", int)), lambda n, p, seed: (n, False), erdos_renyi),
+}
+
+
+def generator_usage(kind) -> str:
+    """`kind param ...`, e.g. `kneser n k`."""
+    return " ".join([kind] + [name for name, _ in GENERATORS[kind][0]])
+
+
+def generate(kind, *params) -> Graph:
+    """Build a GENERATORS kind from its parameters, given as values or strings; the vertex
+    count is checked against MAX_VERTICES before anything is built."""
+    if kind not in GENERATORS:
+        raise ValueError(f"unknown graph kind {kind!r}; known kinds: {', '.join(GENERATORS)}")
+    spec, count, build = GENERATORS[kind]
+    if len(params) != len(spec):
+        raise ValueError(f"{kind} takes {len(spec)} parameter(s): {generator_usage(kind)}")
+    values = [type_(text) for (_, type_), text in zip(spec, params)]
+    n, at_least = count(*values)
+    if n > MAX_VERTICES:
+        desc, bound = f"{kind}({', '.join(map(str, values))})", "at least " if at_least else ""
+        raise ValueError(f"{desc}: {bound}{n} vertices exceed the limit of {MAX_VERTICES}")
+    return build(*values)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +324,8 @@ def default_corpus():
     out.append(("star5", star(5)))
     out.append(("star9", star(9)))
     out.append(("petersen", petersen()))
-    tower = complete(2)
     for level in range(1, 4):  # n = 5, 11, 23
-        tower = mycielski(tower)
-        out.append((f"mycielski{level}", tower))
+        out.append((f"mycielski{level}", mycielski_tower(level)))
     gnp_sizes = [8, 9, 10, 11, 12, 13, 14, 15, 16, 12]
     for i, n in enumerate(gnp_sizes):
         out.append((f"gnp{n}_s{i}", erdos_renyi(n, 0.4, seed=100 + i)))

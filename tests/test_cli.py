@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromabound import graphs
 from chromabound.cli import EXIT_IMPROPER, EXIT_INPUT, EXIT_OK, EXIT_TIMEOUT, main
 from chromabound.graphs import complete, emit_dimacs, erdos_renyi, mycielski, parse_dimacs, petersen
 
@@ -48,6 +49,68 @@ class TestGen:
 
     def test_bad_kind(self, capsys):
         assert main(["gen", "moebius"]) == EXIT_INPUT
+
+
+# One small case per generator kind: gen's parameters and the named builder's graph.
+GEN_CASES = {
+    "complete": (["5"], lambda: graphs.complete(5)),
+    "cycle": (["7"], lambda: graphs.cycle(7)),
+    "star": (["6"], lambda: graphs.star(6)),
+    "petersen": ([], graphs.petersen),
+    "kneser": (["6", "2"], lambda: graphs.kneser(6, 2)),
+    "mycielski": (["3"], lambda: dict(graphs.default_corpus())["mycielski3"]),
+    "erdos-renyi": (["40", "0.3", "5"], lambda: graphs.erdos_renyi(40, 0.3, 5)),
+}
+
+
+class TestGenMatchesLibrary:
+    def test_every_kind_has_a_case(self):
+        assert set(GEN_CASES) == set(graphs.GENERATORS)
+
+    @pytest.mark.parametrize("kind", sorted(graphs.GENERATORS))
+    def test_gen_equals_generate_and_builder(self, kind, capsys):
+        params, builder = GEN_CASES[kind]
+        assert main(["gen", kind] + params) == EXIT_OK
+        text = capsys.readouterr().out
+        assert text.splitlines()[0] == f"c {kind}({', '.join(params)})"
+        g = parse_dimacs(text)
+        expected = builder()
+        assert (g.n, g.edges) == (expected.n, expected.edges)
+        assert graphs.generate(kind, *params) == expected
+
+    def test_help_lists_kinds_and_parameters(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["gen", "--help"])
+        out = capsys.readouterr().out
+        for usage in ("complete n", "kneser n k", "mycielski levels", "erdos-renyi n p seed"):
+            assert usage in out
+
+    def test_unknown_kind_names_known_kinds(self, capsys):
+        assert main(["gen", "moebius"]) == EXIT_INPUT
+        assert ", ".join(graphs.GENERATORS) in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    """Every file the CLI writes goes through one writer: a path under a missing
+    directory exits 2 with a message, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "petersen", "--out"],
+            ["bound", "{graph}", "--method", "hoffman", "--output"],
+            ["compare", "{graph}", "--method", "hoffman", "--output"],
+            ["chi", "{graph}", "--output"],
+            ["reverse", "{graph}", "--output"],
+            ["reverse", "{graph}", "--emit-map"],
+        ],
+        ids=["gen", "bound", "compare", "chi", "reverse", "emit-map"],
+    )
+    def test_missing_directory_exits_2(self, argv, petersen_col, tmp_path, capsys):
+        target = str(tmp_path / "missing" / "out.txt")
+        argv = [a.format(graph=petersen_col) for a in argv] + [target]
+        assert main(argv) == EXIT_INPUT
+        assert f"cannot write {target}" in capsys.readouterr().err
 
 
 class TestBound:

@@ -15,6 +15,7 @@ from chromabound.graphs import (
     is_proper,
     kneser,
     mycielski,
+    mycielski_tower,
     parse_dimacs,
     petersen,
     star,
@@ -119,8 +120,19 @@ class TestGenerators:
         assert a.edges == b.edges
         assert a.edges != c.edges
 
+    def test_mycielski_tower(self):
+        # level L: 3 * 2^L - 1 vertices, Mycielski's construction applied L times to K2
+        assert mycielski_tower(2) == mycielski(mycielski(complete(2)))
+        assert [mycielski_tower(level).n for level in (1, 2, 3)] == [5, 11, 23]
+        with pytest.raises(ValueError):
+            mycielski_tower(0)
+
+    def test_generate_rejects_oversized_before_building(self):
+        with pytest.raises(ValueError, match="at least 6143 vertices exceed the limit of 2048"):
+            generate("mycielski", 40)
+
     def test_generate_dispatch(self):
-        assert generate("complete", n=3).num_edges == 3
+        assert generate("complete", 3).num_edges == 3
         with pytest.raises(ValueError):
             generate("torus")
 

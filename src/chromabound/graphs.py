@@ -268,7 +268,7 @@ def generate(kind, *params) -> Graph:
     values = [type_(text) for (_, type_), text in zip(spec, params)]
     n, at_least = count(*values)
     if n > MAX_VERTICES:
-        desc, bound = f"{kind}({', '.join(map(str, values))})", "at least " if at_least else ""
+        desc, bound = f"{kind}({', '.join(map(str, params))})", "at least " if at_least else ""
         raise ValueError(f"{desc}: {bound}{n} vertices exceed the limit of {MAX_VERTICES}")
     return build(*values)
 

@@ -1,5 +1,5 @@
 """Every ```python block of README.md runs as written, and so does every
-`chromabound ...` line of its ```sh blocks."""
+`chromabound ...` line of its ```sh blocks; README lists every `gen` kind."""
 
 import re
 import shlex
@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from chromabound.cli import EXIT_OK, main
+from chromabound.graphs import GENERATORS, generator_usage
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text()
@@ -32,3 +33,9 @@ def test_cli_lines_run(tmp_path, monkeypatch):
     for line in CLI_LINES:
         argv = shlex.split(line, comments=True)[1:]
         assert main(argv) == EXIT_OK, line
+
+
+def test_gen_kinds_listed():
+    """README lists every generator kind with its parameters, as `gen --help` does."""
+    for kind in GENERATORS:
+        assert f"`{generator_usage(kind)}`" in TEXT

@@ -10,6 +10,9 @@ homogeneous in M, so it takes no tolerance here: `minimal_tau` applies
 its own fixed relative one. The weight search is a gradient ascent on the
 smoothed lambda_1 / |lambda_n|, real or complex, from the all-ones
 incumbent, so the result never regresses below the Hoffman-style baseline.
+It is skipped where the all-ones tau + 1 already equals the color count of
+greedy DSATUR: tau_W + 1 <= chi <= that count for every W, so no weighting
+can do better (this covers K_n and every bipartite graph with an edge).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import linalg
-from .exact import exact_chi
+from .exact import exact_chi, greedy_dsatur
 from .graphs import Graph, adjacency_matrix, is_connected
 from .linalg import fmt12
 from .majorization import minimal_tau
@@ -177,30 +180,32 @@ def _edge_gradient(v, c, index):
     """sum_k c_k dlambda_k / dz_uv = 2 sum_k c_k v_k[u] conj(v_k[v]) (Lewis & Overton 1996);
     its real and imaginary parts are the derivatives along Re z_uv and Im z_uv."""
     us, vs = index
-    return 2.0 * ((v * c)[us] * v[vs].conj()).sum(axis=1)
+    return 2.0 * ((v * c) @ v.conj().T)[us, vs]
 
 
-def _ascend(n, index, z, budget):
-    """Ascent from edge values z in at most `budget` eigensolves.
+def _evaluate(n, index, z):
+    """Edge values z scaled to ||M||_F = 1, that M, and its spectrum: one eigensolve."""
+    z = z / (np.linalg.norm(z) * math.sqrt(2.0))
+    m = _edge_matrix(n, index, z)
+    return z, m, np.linalg.eigvalsh(m)
 
-    Returns the normalized start and its spectrum, then the last z and its spectrum.
-    Candidates are judged on eigenvalues; only an accepted one pays for the eigenvectors of
-    its gradient, which is tangent to the sphere ||M||_F = 1 (the ratio is 0-homogeneous).
-    Success (the start is one) grows the step 1.5-fold, failure halves the step and mu, and
-    a zero gradient or a step below MIN_STEP stops early.
+
+def _ascend(n, index, start, budget):
+    """Ascent from an `_evaluate` triple in at most `budget` eigensolves, the start's included.
+
+    Returns the last accepted z and its spectrum. Candidates are judged on eigenvalues;
+    only an accepted one pays for the eigenvectors of its gradient, which is tangent to the
+    sphere ||M||_F = 1 (the ratio is 0-homogeneous). Success (the start is one) grows the
+    step 1.5-fold, failure halves the step and mu, and a zero gradient or a step below
+    MIN_STEP stops early.
     """
     step, mu, ratio = STEP, MU, -math.inf
-    cand, solves = z, 0
-    while solves < budget:
-        cand = cand / (np.linalg.norm(cand) * math.sqrt(2.0))
-        m = _edge_matrix(n, index, cand)
-        cand_lam = np.linalg.eigvalsh(m)
-        solves += 1
+    cand, m, cand_lam = start
+    solves = 1
+    while True:
         cand_ratio, c = _smoothed_ratio(cand_lam, mu)
         if cand_ratio > ratio:
             z, lam, ratio = cand, cand_lam, cand_ratio
-            if solves == 1:
-                start = z, lam
             if solves == budget:
                 break
             grad = _edge_gradient(np.linalg.eigh(m)[1], c, index)
@@ -212,10 +217,23 @@ def _ascend(n, index, z, budget):
             if mu > MIN_MU:  # at the floor the smoothed ratio of lam stays as it is
                 mu = max(mu / 2.0, MIN_MU)
                 ratio = _smoothed_ratio(lam, mu)[0]
-        if step < MIN_STEP or norm == 0.0:
+        if solves >= budget or step < MIN_STEP or norm == 0.0:
             break
-        cand = z + (step / norm) * grad
-    return start, (z, lam)
+        cand, m, cand_lam = _evaluate(n, index, z + (step / norm) * grad)
+        solves += 1
+    return z, lam
+
+
+# tau + 1 within TIGHT_RTOL * q of an integer q counts as q. Relative, because the rounding
+# of tau grows with n: all-ones tau + 1 is 1.6e-8 below 2048 on K2048 but 3.5e-13 from 2 on
+# C2048, while the odd cycle C2047 is 1.2e-6 above 2.
+TIGHT_RTOL = 1e-9
+
+
+def _near_integer(x):
+    """The integer q with |x - q| <= TIGHT_RTOL * q, or None."""
+    q = round(x)
+    return q if abs(x - q) <= TIGHT_RTOL * q else None
 
 
 def optimize_weight(
@@ -223,25 +241,35 @@ def optimize_weight(
 ) -> Tuple[WeightMatrix, float]:
     """Heuristically maximize tau_W over Hermitian edge weightings.
 
-    Each restart runs `_ascend`, which climbs a lower bound on tau, and is scored by tau.
-    The all-ones weighting is the incumbent and restart 0's start, so the result is at
-    least the ones baseline; restart r > 0 draws per-edge weights from uniform[0.5, 1.5]
+    The all-ones weighting is evaluated first. If its tau + 1 is within TIGHT_RTOL * q of an
+    integer q and greedy DSATUR colors g with at most q colors, it is returned at once with
+    origin "ones(...)": every weighting has tau_W + 1 <= chi <= q, so the skipped search
+    could have gained at most TIGHT_RTOL * q in tau. Greedy DSATUR runs only when that
+    integer test passes.
+
+    Otherwise each restart runs `_ascend`, which climbs a lower bound on tau, and is scored
+    by tau. The all-ones weighting is the incumbent and restart 0's start, so the result is
+    at least the ones baseline; restart r > 0 draws per-edge weights from uniform[0.5, 1.5]
     (times phases from uniform[0, 2pi) for complex weights), seeded as seed + r.
     `iterations` caps eigensolves per restart.
     """
     if g.num_edges == 0:
         raise DegenerateGraphError("graph has no edges")
     index = _edge_index(g)
+    start = _evaluate(g.n, index, np.ones(g.num_edges))
+    best_z, best_tau = start[0], minimal_tau(start[2])
+    q = _near_integer(best_tau + 1.0)
+    if q is not None and greedy_dsatur(g).num_colors <= q:
+        m = start[1]
+        return WeightMatrix(m, f"ones(tau + 1 = greedy DSATUR colors = {q})"), float(_tau(m))
     for r_idx in range(max(1, restarts)):
-        z = np.ones(g.num_edges)
         if r_idx > 0:
             rng = random.Random(seed + r_idx)
             z = np.array([rng.uniform(0.5, 1.5) for _ in range(g.num_edges)])
             if allow_complex:
                 z = z * np.exp(1j * np.array([rng.uniform(0.0, 2.0 * math.pi) for _ in range(g.num_edges)]))
-        start, (z, lam) = _ascend(g.n, index, z, max(1, iterations))
-        if r_idx == 0:  # restart 0 starts at all-ones, the incumbent
-            best_z, best_tau = start[0], minimal_tau(start[1])
+            start = _evaluate(g.n, index, z)
+        z, lam = _ascend(g.n, index, start, max(1, iterations))
         tau = minimal_tau(lam)
         if tau > best_tau + 1e-15:
             best_tau, best_z = tau, z

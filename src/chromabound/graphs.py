@@ -238,17 +238,32 @@ def _kneser_count(n, k):
     return math.comb(n, k), False
 
 
+def _integer(value):
+    """int(value) without rounding: 3, "3", 3.0 and "1e3" pass; 3.7, "2.9", inf and nan raise."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            value = float(value)
+    n = int(value)
+    if n != value:
+        raise ValueError(value)
+    return n
+
+
 # kind -> ((parameter, type), ...), vertex count from the parameters, builder. The count is
 # (vertices, is a lower bound); a lower bound stands in where the exact count is too large.
 GENERATORS = {
-    "complete": ((("n", int),), lambda n: (n, False), complete),
-    "cycle": ((("n", int),), lambda n: (n, False), cycle),
-    "star": ((("n", int),), lambda n: (n, False), star),
+    "complete": ((("n", _integer),), lambda n: (n, False), complete),
+    "cycle": ((("n", _integer),), lambda n: (n, False), cycle),
+    "star": ((("n", _integer),), lambda n: (n, False), star),
     "petersen": ((), lambda: (10, False), petersen),
-    "kneser": ((("n", int), ("k", int)), _kneser_count, kneser),
+    "kneser": ((("n", _integer), ("k", _integer)), _kneser_count, kneser),
     # level 11 already has 6143 vertices
-    "mycielski": ((("levels", int),), lambda lv: (3 * 2 ** min(lv, 11) - 1, lv > 11), mycielski_tower),
-    "erdos-renyi": ((("n", int), ("p", float), ("seed", int)), lambda n, p, seed: (n, False), erdos_renyi),
+    "mycielski": ((("levels", _integer),), lambda lv: (3 * 2 ** min(lv, 11) - 1, lv > 11), mycielski_tower),
+    "erdos-renyi": (
+        (("n", _integer), ("p", float), ("seed", _integer)), lambda n, p, seed: (n, False), erdos_renyi
+    ),
 }
 
 
@@ -265,7 +280,13 @@ def generate(kind, *params) -> Graph:
     spec, count, build = GENERATORS[kind]
     if len(params) != len(spec):
         raise ValueError(f"{kind} takes {len(spec)} parameter(s): {generator_usage(kind)}")
-    values = [type_(text) for (_, type_), text in zip(spec, params)]
+    values = []
+    for (name, type_), value in zip(spec, params):
+        try:
+            values.append(type_(value))
+        except (TypeError, ValueError, OverflowError):
+            what = "an integer" if type_ is _integer else "a number"
+            raise ValueError(f"{kind}: parameter {name} must be {what}, got {value!r}") from None
     n, at_least = count(*values)
     if n > MAX_VERTICES:
         desc, bound = f"{kind}({', '.join(map(str, params))})", "at least " if at_least else ""

@@ -1,7 +1,10 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromabound import bounds, linalg
 from chromabound.bounds import (
@@ -216,6 +219,90 @@ class TestOptimizeWeight:
         baseline = tau_bound(g, ones_weight(g.n)) - 1.0
         _w, tau = optimize_weight(g, restarts=3, iterations=60, seed=5, allow_complex=allow_complex)
         assert tau == pytest.approx(baseline, abs=1e-9)
+
+
+K34 = Graph(7, frozenset((i, 3 + j) for i in range(3) for j in range(4)))
+ONES_TIGHT = {
+    **{f"K{n}": complete(n) for n in range(2, 9)},
+    **{f"C{n}": cycle(n) for n in (4, 6, 8, 10, 12)},
+    "star5": star(5), "star9": star(9), "K34": K34,
+}
+
+
+class TestOnesTightSkip:
+    """Where tau-ones + 1 equals greedy DSATUR's color count q, no weighting can beat
+    all-ones (tau_W + 1 <= chi <= q), so optimize_weight returns it without an ascent."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        inner = np.linalg.eigh
+
+        def counted(m):
+            calls.append(m.shape)
+            return inner(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    @pytest.mark.parametrize("allow_complex", [False, True])
+    @pytest.mark.parametrize("name", sorted(ONES_TIGHT))
+    def test_fires_on_tight_graphs(self, name, allow_complex, eigh_calls):
+        g = ONES_TIGHT[name]
+        baseline = tau_bound(g, ones_weight(g.n)) - 1.0
+        w, tau = optimize_weight(g, restarts=2, iterations=60, seed=7, allow_complex=allow_complex)
+        assert eigh_calls == []
+        assert w.origin.startswith("ones")
+        assert tau == pytest.approx(baseline, abs=1e-12)
+        z = w.matrix[bounds._edge_index(g)]
+        assert z == pytest.approx(np.full(g.num_edges, 1.0 / math.sqrt(2 * g.num_edges)), rel=1e-15)
+
+    @pytest.mark.parametrize("allow_complex", [False, True])
+    def test_greedy_never_runs_where_ones_is_not_integral(self, corpus, allow_complex, eigh_calls, monkeypatch):
+        greedy_calls = []
+        monkeypatch.setattr(bounds, "greedy_dsatur", lambda g: greedy_calls.append(g))
+        graphs = dict(corpus)
+        for name in ["C5", "petersen"] + [name for name in graphs if name.startswith("gnp")]:
+            eigh_calls.clear()
+            w, _tau = optimize_weight(graphs[name], restarts=2, iterations=60, seed=7, allow_complex=allow_complex)
+            assert w.origin.startswith("optimized"), name
+            assert eigh_calls, name
+        assert greedy_calls == []
+
+    def test_integral_ones_needs_a_matching_coloring(self):
+        """tau-ones + 1 is 3 on this 8-vertex graph, but chi = 4: the integer test alone
+        would stop an ascent that still has room."""
+        edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 5), (2, 6),
+                 (3, 5), (3, 7), (4, 6), (4, 7), (6, 7)]
+        g = Graph(8, frozenset(edges))
+        assert bounds._near_integer(tau_bound(g, ones_weight(8))) == 3
+        assert exact_chi(g).chi == 4
+        w, _tau = optimize_weight(g, restarts=1, iterations=5)
+        assert w.origin.startswith("optimized")
+
+    @pytest.mark.parametrize(
+        "value, q",
+        [(1000 - 2e-9, 1000), (2048 - 1.6e-8, 2048), (2 - 3.5e-13, 2), (3.0, 3),
+         (2.0000012, None), (2.5, None), (1 + 2 / (2 * math.cos(math.pi / 5)), None)],
+        ids=["K1000", "K2048", "C2048", "exact", "C2047", "petersen", "C5"],
+    )
+    def test_integer_test_is_relative(self, value, q):
+        assert bounds._near_integer(value) == q
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(min_value=2, max_value=9))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), min_size=1, unique=True))
+    return Graph(n, frozenset(edges))
+
+
+@given(_small_graphs())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_skip_fires_only_where_chi_is_q(g):
+    w, tau = optimize_weight(g, restarts=1, iterations=1)
+    if w.origin.startswith("ones"):
+        assert exact_chi(g).chi == round(tau + 1.0)
 
 
 def _ratio_at(g, z, mu):

@@ -50,6 +50,22 @@ class TestGen:
     def test_bad_kind(self, capsys):
         assert main(["gen", "moebius"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (["complete", "3.7"], "complete: parameter n must be an integer, got '3.7'"),
+            (["erdos-renyi", "10", "0.5", "2.9"], "erdos-renyi: parameter seed must be an integer, got '2.9'"),
+            (["erdos-renyi", "10", "p", "1"], "erdos-renyi: parameter p must be a number, got 'p'"),
+        ],
+    )
+    def test_non_integral_parameter_named(self, params, message, capsys):
+        assert main(["gen"] + params) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_integral_float_literal(self, capsys):
+        assert main(["gen", "complete", "1e1"]) == EXIT_OK
+        assert parse_dimacs(capsys.readouterr().out) == complete(10)
+
 
 # One small case per generator kind: gen's parameters and the named builder's graph.
 GEN_CASES = {

@@ -131,6 +131,25 @@ class TestGenerators:
         with pytest.raises(ValueError, match="at least 6143 vertices exceed the limit of 2048"):
             generate("mycielski", 40)
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (("complete", 3.7), "complete: parameter n must be an integer, got 3.7"),
+            (("erdos-renyi", 10, 0.5, 2.9), "erdos-renyi: parameter seed must be an integer, got 2.9"),
+            (("kneser", "5", "2.5"), "kneser: parameter k must be an integer, got '2.5'"),
+            (("mycielski", float("inf")), "mycielski: parameter levels must be an integer, got inf"),
+            (("erdos-renyi", 10, "half", 1), "erdos-renyi: parameter p must be a number, got 'half'"),
+        ],
+    )
+    def test_generate_rejects_non_integral(self, params, message):
+        with pytest.raises(ValueError) as info:
+            generate(*params)
+        assert str(info.value) == message
+
+    def test_generate_accepts_integral_values(self):
+        assert generate("complete", "1e1") == generate("complete", 10.0) == complete(10)
+        assert generate("erdos-renyi", "12", "0.5", 3.0) == erdos_renyi(12, 0.5, 3)
+
     def test_generate_dispatch(self):
         assert generate("complete", 3).num_edges == 3
         with pytest.raises(ValueError):

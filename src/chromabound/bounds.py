@@ -3,16 +3,19 @@
 Every lower bound reads the spectrum of a Hadamard-weighted adjacency
 matrix M = W * A. Hoffman and tau-ones use the all-ones W, Barnes uses
 W = D^{-1/2} 1 D^{-1/2} with D = |lambda_n| I, and tau_W + 1 takes any
-Hermitian W. Every M is built by `_edge_matrix` from its values on the
+Hermitian W. Every M is built by `_EdgeMatrices` from its values on the
 edge list, and M becomes tau in one evaluator (`_tau`). A report reads
 Wilf, Hoffman, Barnes and tau-ones from one spectrum of A. tau is
 homogeneous in M, so it takes no tolerance here: `minimal_tau` applies
 its own fixed relative one. The weight search is a gradient ascent on the
 smoothed lambda_1 / |lambda_n|, real or complex, from the all-ones
 incumbent, so the result never regresses below the Hoffman-style baseline.
-It is skipped where the all-ones tau + 1 already equals the color count of
-greedy DSATUR: tau_W + 1 <= chi <= that count for every W, so no weighting
-can do better (this covers K_n and every bipartite graph with an edge).
+Each ascent step writes its candidate's edge values into one reused n x n
+buffer per dtype and forms the smoothed ratio's derivatives only for a
+candidate it accepts. The search is skipped where the all-ones tau + 1
+already equals the color count of greedy DSATUR: tau_W + 1 <= chi <= that
+count for every W, so no weighting can do better (this covers K_n and
+every bipartite graph with an edge).
 """
 
 from __future__ import annotations
@@ -71,13 +74,33 @@ def _edge_index(g: Graph):
     return us, vs
 
 
-def _edge_matrix(n, index, z):
-    """Hermitian M: z_e at (u_e, v_e), conj(z_e) at (v_e, u_e), zero elsewhere."""
-    us, vs = index
-    m = np.zeros((n, n), dtype=np.result_type(z, float))
-    m[us, vs] = z
-    m[vs, us] = np.conj(z)
-    return m
+class _EdgeMatrices:
+    """Edge values z -> Hermitian M: z_e at (u_e, v_e), conj(z_e) at (v_e, u_e), zero elsewhere.
+
+    Writes go through the flat positions u*n + v and v*n + u into one n x n buffer per
+    dtype, which every later call of that dtype overwrites on the same edges, so its other
+    entries stay zero. A matrix is valid until the next call of its dtype.
+    """
+
+    def __init__(self, n, index):
+        us, vs = index
+        self.n = n
+        self.upper, self.lower = us * n + vs, vs * n + us
+        self._flat = {}
+
+    def matrix(self, z):
+        flat = self._flat.get(z.dtype)
+        if flat is None:
+            flat = self._flat[z.dtype] = np.zeros(self.n * self.n, dtype=np.result_type(z, float))
+        flat[self.upper] = z
+        flat[self.lower] = z.conj() if np.iscomplexobj(z) else z
+        return flat.reshape(self.n, self.n)
+
+    def evaluate(self, z):
+        """Edge values z scaled to ||M||_F = 1, that M, and its spectrum: one eigensolve."""
+        z = z / (np.linalg.norm(z) * math.sqrt(2.0))
+        m = self.matrix(z)
+        return z, m, np.linalg.eigvalsh(m)
 
 
 def weighted_adjacency(g: Graph, w: WeightMatrix) -> np.ndarray:
@@ -90,7 +113,7 @@ def weighted_adjacency(g: Graph, w: WeightMatrix) -> np.ndarray:
         z = z.real
     if g.num_edges and not np.any(z):
         raise DegenerateGraphError("weight matrix vanishes on every edge")
-    return _edge_matrix(g.n, index, z)
+    return _EdgeMatrices(g.n, index).matrix(z)
 
 
 def _adjacency_bounds(g: Graph):
@@ -167,48 +190,52 @@ MU, MIN_MU = 0.05, 0.02  # log-sum-exp width of the smoothing, and its floor
 
 def _smoothed_ratio(lam, mu):
     """lambda_1 / -lambda_n of an ascending spectrum, both smoothed by log-sum-exp of
-    width mu, and the ratio's derivatives c_k in the eigenvalues lam_k."""
+    width mu, and the terms `_ratio_derivatives` forms its derivatives from."""
     top_w = np.exp((lam - lam[-1]) / mu)
     bot_w = np.exp((lam[0] - lam) / mu)
-    top = lam[-1] + mu * math.log(top_w.sum())
-    bot = lam[0] - mu * math.log(bot_w.sum())
+    top_s, bot_s = top_w.sum(), bot_w.sum()
+    top = lam[-1] + mu * math.log(top_s)
+    bot = lam[0] - mu * math.log(bot_s)
     ratio = top / -bot
-    return ratio, (top_w / top_w.sum() + ratio * bot_w / bot_w.sum()) / -bot
+    return ratio, (top_w, top_s, bot_w, bot_s, bot)
 
 
-def _edge_gradient(v, c, index):
-    """sum_k c_k dlambda_k / dz_uv = 2 sum_k c_k v_k[u] conj(v_k[v]) (Lewis & Overton 1996);
-    its real and imaginary parts are the derivatives along Re z_uv and Im z_uv."""
-    us, vs = index
-    return 2.0 * ((v * c) @ v.conj().T)[us, vs]
+def _ratio_derivatives(ratio, terms):
+    """The smoothed ratio's derivatives c_k in the eigenvalues lam_k."""
+    top_w, top_s, bot_w, bot_s, bot = terms
+    return (top_w / top_s + ratio * bot_w / bot_s) / -bot
 
 
-def _evaluate(n, index, z):
-    """Edge values z scaled to ||M||_F = 1, that M, and its spectrum: one eigensolve."""
-    z = z / (np.linalg.norm(z) * math.sqrt(2.0))
-    m = _edge_matrix(n, index, z)
-    return z, m, np.linalg.eigvalsh(m)
+def _edge_gradient(v, c, upper):
+    """sum_k c_k dlambda_k / dz_uv = 2 sum_k c_k v_k[u] conj(v_k[v]) (Lewis & Overton 1996),
+    read at the flat positions upper = u*n + v; its real and imaginary parts are the
+    derivatives along Re z_uv and Im z_uv."""
+    vh = v.conj().T if np.iscomplexobj(v) else v.T
+    return 2.0 * ((v * c) @ vh).take(upper)
 
 
-def _ascend(n, index, start, budget):
-    """Ascent from an `_evaluate` triple in at most `budget` eigensolves, the start's included.
+def _ascend(edges, start, budget):
+    """Ascent from an `_EdgeMatrices.evaluate` triple in at most `budget` eigensolves, the
+    start's included.
 
-    Returns the last accepted z and its spectrum. Candidates are judged on eigenvalues;
-    only an accepted one pays for the eigenvectors of its gradient, which is tangent to the
-    sphere ||M||_F = 1 (the ratio is 0-homogeneous). Success (the start is one) grows the
-    step 1.5-fold, failure halves the step and mu, and a zero gradient or a step below
+    Returns the last accepted z and its spectrum. Every candidate's M is written into the
+    one buffer of `edges` for its dtype and judged on eigenvalues; only an accepted one
+    pays for the derivatives c_k and the eigenvectors of its gradient, which is tangent to
+    the sphere ||M||_F = 1 (the ratio is 0-homogeneous). Success (the start is one) grows
+    the step 1.5-fold, failure halves the step and mu, and a zero gradient or a step below
     MIN_STEP stops early.
     """
     step, mu, ratio = STEP, MU, -math.inf
     cand, m, cand_lam = start
     solves = 1
     while True:
-        cand_ratio, c = _smoothed_ratio(cand_lam, mu)
+        cand_ratio, terms = _smoothed_ratio(cand_lam, mu)
         if cand_ratio > ratio:
             z, lam, ratio = cand, cand_lam, cand_ratio
             if solves == budget:
                 break
-            grad = _edge_gradient(np.linalg.eigh(m)[1], c, index)
+            c = _ratio_derivatives(ratio, terms)
+            grad = _edge_gradient(np.linalg.eigh(m)[1], c, edges.upper)
             solves += 1
             norm = np.linalg.norm(grad)
             step *= 1.5
@@ -219,7 +246,7 @@ def _ascend(n, index, start, budget):
                 ratio = _smoothed_ratio(lam, mu)[0]
         if solves >= budget or step < MIN_STEP or norm == 0.0:
             break
-        cand, m, cand_lam = _evaluate(n, index, z + (step / norm) * grad)
+        cand, m, cand_lam = edges.evaluate(z + (step / norm) * grad)
         solves += 1
     return z, lam
 
@@ -255,25 +282,24 @@ def optimize_weight(
     """
     if g.num_edges == 0:
         raise DegenerateGraphError("graph has no edges")
-    index = _edge_index(g)
-    start = _evaluate(g.n, index, np.ones(g.num_edges))
+    edges = _EdgeMatrices(g.n, _edge_index(g))
+    start = edges.evaluate(np.ones(g.num_edges))
     best_z, best_tau = start[0], minimal_tau(start[2])
     q = _near_integer(best_tau + 1.0)
     if q is not None and greedy_dsatur(g).num_colors <= q:
-        m = start[1]
-        return WeightMatrix(m, f"ones(tau + 1 = greedy DSATUR colors = {q})"), float(_tau(m))
+        return WeightMatrix(start[1], f"ones(tau + 1 = greedy DSATUR colors = {q})"), best_tau
     for r_idx in range(max(1, restarts)):
         if r_idx > 0:
             rng = random.Random(seed + r_idx)
             z = np.array([rng.uniform(0.5, 1.5) for _ in range(g.num_edges)])
             if allow_complex:
                 z = z * np.exp(1j * np.array([rng.uniform(0.0, 2.0 * math.pi) for _ in range(g.num_edges)]))
-            start = _evaluate(g.n, index, z)
-        z, lam = _ascend(g.n, index, start, max(1, iterations))
+            start = edges.evaluate(z)
+        z, lam = _ascend(edges, start, max(1, iterations))
         tau = minimal_tau(lam)
         if tau > best_tau + 1e-15:
             best_tau, best_z = tau, z
-    m = _edge_matrix(g.n, index, best_z)  # ||M||_F = 1
+    m = edges.matrix(best_z)  # ||M||_F = 1
     w = WeightMatrix(m, f"optimized(seed={seed}, restarts={restarts}, iterations={iterations})")
     return w, float(_tau(m))
 

@@ -9,6 +9,7 @@ live in `graphs`, bound defaults and method names in `bounds`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -272,7 +273,14 @@ def _add_output_flags(p):
     p.add_argument("--output", default=None, help="write to file instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and reused by every later `main` call.
+
+    argparse makes a help formatter for each argument it adds, which costs more than a
+    small `bound` job. Parsing keeps no state in the parser, so one instance serves every
+    call in the process.
+    """
     parser = argparse.ArgumentParser(
         prog="chromabound",
         description="Spectral lower bounds on the chromatic number.",
@@ -322,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

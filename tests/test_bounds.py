@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import numpy as np
@@ -247,11 +248,20 @@ class TestOnesTightSkip:
 
     @pytest.mark.parametrize("allow_complex", [False, True])
     @pytest.mark.parametrize("name", sorted(ONES_TIGHT))
-    def test_fires_on_tight_graphs(self, name, allow_complex, eigh_calls):
+    def test_fires_on_tight_graphs(self, name, allow_complex, eigh_calls, monkeypatch):
         g = ONES_TIGHT[name]
         baseline = tau_bound(g, ones_weight(g.n)) - 1.0
+        eigvalsh_calls = []
+        inner = np.linalg.eigvalsh
+
+        def counted(m):
+            eigvalsh_calls.append(m.shape)
+            return inner(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         w, tau = optimize_weight(g, restarts=2, iterations=60, seed=7, allow_complex=allow_complex)
         assert eigh_calls == []
+        assert eigvalsh_calls == [(g.n, g.n)]  # the all-ones start, whose tau is returned
         assert w.origin.startswith("ones")
         assert tau == pytest.approx(baseline, abs=1e-12)
         z = w.matrix[bounds._edge_index(g)]
@@ -307,10 +317,10 @@ def test_skip_fires_only_where_chi_is_q(g):
 
 def _ratio_at(g, z, mu):
     """The smoothed ratio at edge values z, and its gradient as the ascent computes it."""
-    index = bounds._edge_index(g)
-    lam, v = np.linalg.eigh(bounds._edge_matrix(g.n, index, z))
-    ratio, c = bounds._smoothed_ratio(lam, mu)
-    return ratio, bounds._edge_gradient(v, c, index)
+    edges = bounds._EdgeMatrices(g.n, bounds._edge_index(g))
+    lam, v = np.linalg.eigh(edges.matrix(z))
+    ratio, terms = bounds._smoothed_ratio(lam, mu)
+    return ratio, bounds._edge_gradient(v, bounds._ratio_derivatives(ratio, terms), edges.upper)
 
 
 class TestAscentGradient:
@@ -335,6 +345,92 @@ class TestAscentGradient:
             assert np.max(np.abs(fd)) > 1e-3  # a vanishing part would test nothing
             assert part == pytest.approx(fd, abs=1e-7)
 
+
+# The ascent step as it was before its buffers and call trimming: one fresh matrix per
+# candidate, c formed for every candidate, the full product indexed in 2-D.
+def _edge_matrix_ref(n, index, z):
+    us, vs = index
+    m = np.zeros((n, n), dtype=np.result_type(z, float))
+    m[us, vs] = z
+    m[vs, us] = np.conj(z)
+    return m
+
+
+def _smoothed_ratio_ref(lam, mu):
+    top_w = np.exp((lam - lam[-1]) / mu)
+    bot_w = np.exp((lam[0] - lam) / mu)
+    top = lam[-1] + mu * math.log(top_w.sum())
+    bot = lam[0] - mu * math.log(bot_w.sum())
+    ratio = top / -bot
+    return ratio, (top_w / top_w.sum() + ratio * bot_w / bot_w.sum()) / -bot
+
+
+def _evaluate_ref(n, index, z):
+    z = z / (np.linalg.norm(z) * math.sqrt(2.0))
+    m = _edge_matrix_ref(n, index, z)
+    return z, m, np.linalg.eigvalsh(m)
+
+
+def _ascend_ref(n, index, start, budget):
+    us, vs = index
+    step, mu, ratio = bounds.STEP, bounds.MU, -math.inf
+    cand, m, cand_lam = start
+    solves = 1
+    while True:
+        cand_ratio, c = _smoothed_ratio_ref(cand_lam, mu)
+        if cand_ratio > ratio:
+            z, lam, ratio = cand, cand_lam, cand_ratio
+            if solves == budget:
+                break
+            v = np.linalg.eigh(m)[1]
+            grad = 2.0 * ((v * c) @ v.conj().T)[us, vs]
+            solves += 1
+            norm = np.linalg.norm(grad)
+            step *= 1.5
+        else:
+            step /= 2.0
+            if mu > bounds.MIN_MU:
+                mu = max(mu / 2.0, bounds.MIN_MU)
+                ratio = _smoothed_ratio_ref(lam, mu)[0]
+        if solves >= budget or step < bounds.MIN_STEP or norm == 0.0:
+            break
+        cand, m, cand_lam = _evaluate_ref(n, index, z + (step / norm) * grad)
+        solves += 1
+    return z, lam
+
+
+def _restart_starts(g, restarts, seed, allow_complex):
+    """The start edge values of optimize_weight's restarts."""
+    yield np.ones(g.num_edges)
+    for r_idx in range(1, restarts):
+        rng = random.Random(seed + r_idx)
+        z = np.array([rng.uniform(0.5, 1.5) for _ in range(g.num_edges)])
+        if allow_complex:
+            z = z * np.exp(1j * np.array([rng.uniform(0.0, 2.0 * math.pi) for _ in range(g.num_edges)]))
+        yield z
+
+
+class TestAscentMatchesReference:
+    @pytest.mark.parametrize("allow_complex", [False, True])
+    def test_bit_identical_on_corpus(self, corpus, allow_complex):
+        """The buffered, trimmed step does the reference's floating-point operations: every
+        restart returns the same z and spectrum, bit for bit, on the same LAPACK."""
+        checked = 0
+        for name, g in corpus:
+            if g.num_edges == 0 or optimize_weight(g, 1, 1)[0].origin.startswith("ones"):
+                continue  # the ascent never runs
+            index = bounds._edge_index(g)
+            edges = bounds._EdgeMatrices(g.n, index)
+            for z0 in _restart_starts(g, 2, 7, allow_complex):
+                start, start_ref = edges.evaluate(z0), _evaluate_ref(g.n, index, z0)
+                for got, want in zip(start, start_ref):
+                    assert np.array_equal(got, want), name
+                z, lam = bounds._ascend(edges, start, 60)
+                z_ref, lam_ref = _ascend_ref(g.n, index, start_ref, 60)
+                assert z.dtype == z_ref.dtype and np.array_equal(z, z_ref), name
+                assert np.array_equal(lam, lam_ref), name
+            checked += 1
+        assert checked == 18
 
 class TestAscentQuality:
     GATE = ("gnp11_s3", "gnp13_s5", "gnp14_s6", "gnp15_s7", "gnp16_s8")

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chromabound
 from chromabound import graphs
 from chromabound.cli import EXIT_IMPROPER, EXIT_INPUT, EXIT_OK, EXIT_TIMEOUT, main
 from chromabound.graphs import complete, emit_dimacs, erdos_renyi, mycielski, parse_dimacs, petersen
@@ -348,6 +352,48 @@ class TestCompare:
         second = capsys.readouterr().out
         assert first == second
 
+
+def _fresh_process(argv):
+    """stdout of `python -m chromabound.cli argv` in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(chromabound.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "chromabound.cli", *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
+class TestParserReuse:
+    """main reuses one parser per process; no call may leave state for the next."""
+
+    def test_plain_bound_after_complex(self, corpus, tmp_path, capsys):
+        path = tmp_path / "gnp16_s8.col"
+        path.write_text(emit_dimacs(dict(corpus)["gnp16_s8"]))
+        argv = ["bound", str(path), "--restarts", "2", "--iters", "30", "--seed", "7", "--format", "json"]
+        assert main(argv + ["--complex-weights"]) == EXIT_OK
+        complex_doc = json.loads(capsys.readouterr().out)
+        assert any(im != 0 for _u, _v, _re, im in complex_doc["certificates"]["optimizedWeight"])
+        assert main(argv) == EXIT_OK
+        text = capsys.readouterr().out
+        assert text == _fresh_process(argv)
+        assert all(im == 0 for _u, _v, _re, im in json.loads(text)["certificates"]["optimizedWeight"])
+
+    def test_corpus_after_files(self, k3_col, petersen_col, capsys):
+        budget = ["--restarts", "1", "--iters", "10", "--format", "json"]
+        assert main(["compare", k3_col, petersen_col] + budget) == EXIT_OK
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 2
+        argv = ["compare", "--gen-corpus"] + budget
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == _fresh_process(argv)
+        assert main(["compare"]) == EXIT_INPUT
+        assert "needs input files" in capsys.readouterr().err
+
+    def test_good_call_after_usage_error(self, k3_col, capsys):
+        argv = ["bound", k3_col, "--format", "json"]
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", k3_col, "--restarts", "0", "--complex-weights"])
+        assert exc.value.code == EXIT_INPUT
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == _fresh_process(argv)
 
 # Malformed .col text: valid and corrupted p/e/c lines, stray tokens, huge and
 # negative integers, and bytes that are not UTF-8.

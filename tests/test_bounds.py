@@ -346,7 +346,7 @@ class TestAscentGradient:
             assert part == pytest.approx(fd, abs=1e-7)
 
 
-# The ascent step as it was before its buffers and call trimming: one fresh matrix per
+# Reference ascent step, which bounds._ascend must match bit for bit: a fresh matrix per
 # candidate, c formed for every candidate, the full product indexed in 2-D.
 def _edge_matrix_ref(n, index, z):
     us, vs = index
@@ -431,6 +431,7 @@ class TestAscentMatchesReference:
                 assert np.array_equal(lam, lam_ref), name
             checked += 1
         assert checked == 18
+
 
 class TestAscentQuality:
     GATE = ("gnp11_s3", "gnp13_s5", "gnp14_s6", "gnp15_s7", "gnp16_s8")

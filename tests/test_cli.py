@@ -395,6 +395,7 @@ class TestParserReuse:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == _fresh_process(argv)
 
+
 # Malformed .col text: valid and corrupted p/e/c lines, stray tokens, huge and
 # negative integers, and bytes that are not UTF-8.
 _INTEGER = st.one_of(st.integers(-3, 12), st.sampled_from([2**31, 2**64, 10**30, -(10**30)]))

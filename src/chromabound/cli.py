@@ -141,8 +141,8 @@ def cmd_reverse(args) -> int:
     entries = (coloring.num_colors - 1) * g.n * g.n
     if entries > graphs.MAX_VERTICES**2:
         raise CliError(
-            f"a map of {coloring.num_colors - 1} unitaries of size {g.n}x{g.n} has "
-            f"{entries} entries, above the limit of {graphs.MAX_VERTICES**2}"
+            f"applying a map of {coloring.num_colors - 1} unitaries to a {g.n}x{g.n} target "
+            f"touches {entries} entries, above the limit of {graphs.MAX_VERTICES**2}"
         )
     if args.weight == "ones":
         w = bounds.ones_weight(g.n)

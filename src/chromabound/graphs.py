@@ -14,7 +14,8 @@ import numpy as np
 # reverse build dense n x n matrices (64 MiB each when complex at this n), and
 # chi's DSATUR works on n-bit integers (at this n on G(n, 0.01), greedy DSATUR
 # takes 0.03 s and the default budget of 10^6 nodes about 6 s). reverse also
-# caps its map at MAX_VERTICES^2 unitary entries.
+# refuses a q-coloring map with (q - 1) n^2 > MAX_VERTICES^2: applying each of
+# its q - 1 phase-vector unitaries touches all n^2 target entries.
 MAX_VERTICES = 2048
 
 

@@ -46,12 +46,12 @@ def majorizes(x, y, tol=1e-9) -> MajorizationReport:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     px = np.cumsum(sort_descending(x))
     py = np.cumsum(sort_descending(y))
-    n = len(px)
     slack = tol * max(np.linalg.norm(x), np.linalg.norm(y))
     sum_gap = abs(px[-1] - py[-1])
-    for m in range(1, n):
-        if px[m - 1] > py[m - 1] + slack:
-            return MajorizationReport(False, (m, float(px[m - 1]), float(py[m - 1])), sum_gap)
+    violated = np.flatnonzero(px[:-1] > py[:-1] + slack)
+    if violated.size:
+        k = violated[0]
+        return MajorizationReport(False, (int(k) + 1, float(px[k]), float(py[k])), sum_gap)
     if sum_gap > slack:
         return MajorizationReport(False, None, sum_gap)
     return MajorizationReport(True, None, sum_gap)

@@ -1,9 +1,12 @@
 """Sign-reversal maps: weighted unitary families that negate a matrix.
 
-Two constructions are provided: the coloring-derived map (cost one less
-than the number of colors, built from powers of a root-of-unity diagonal)
-and the group map over the Weyl-Heisenberg family (cost n^2 - 1). The
-spectral lower bound on any map's cost is the minimal-tau value.
+Every unitary is monomial, U = P diag(d): column k is d[k] times basis
+vector perm[k], with |d[k]| = 1. A term is stored as (r, perm, d), never
+as an n x n matrix, so (U^H T U)_ij = conj(d_i) T[perm_i, perm_j] d_j
+costs O(n^2). The coloring-derived map (cost one less than the number
+of colors) takes powers of a root-of-unity diagonal, and the group map
+(cost n^2 - 1) the Weyl-Heisenberg family X^a Z^b, each a shifted
+diagonal. The spectral lower bound on any map's cost is minimal tau.
 
 Targets must be traceless by the rule minimal_tau applies to a spectrum,
 |tr T| <= TAU_RTOL * ||T||_F, and a map verifies when its residual is
@@ -26,26 +29,34 @@ from .majorization import TAU_RTOL, minimal_tau
 
 @dataclass(frozen=True, eq=False)
 class SignReversalMap:
-    """Terms (r_j, U_j) with r_j > 0 and U_j unitary."""
+    """Terms (r_j, perm_j, d_j) with r_j > 0 and unitary U_j = P_j diag(d_j)."""
 
     n: int
-    terms: Tuple[Tuple[float, np.ndarray], ...]
+    terms: Tuple[Tuple[float, np.ndarray, np.ndarray], ...]
 
     def __post_init__(self):
-        checked = []
-        for r, u in self.terms:
-            r = float(r)
-            if r <= 0.0:
-                raise ValueError(f"term weight must be positive, got {r}")
-            u = linalg.check_unitary(u)
-            if u.shape != (self.n, self.n):
-                raise ValueError(f"unitary shape {u.shape} != ({self.n}, {self.n})")
-            checked.append((r, u))
-        object.__setattr__(self, "terms", tuple(checked))
+        object.__setattr__(self, "terms", tuple(_check_term(self.n, *t) for t in self.terms))
+
+
+def _check_term(n, r, perm, d):
+    """A positive weight, a permutation of range(n) and n phases of modulus 1."""
+    r = float(r)
+    if r <= 0.0:
+        raise ValueError(f"term weight must be positive, got {r}")
+    perm = np.asarray(perm)
+    if perm.shape != (n,) or perm.dtype.kind not in "iu" or np.any(np.sort(perm) != np.arange(n)):
+        raise ValueError(f"perm of shape {perm.shape} is not a permutation of range({n})")
+    d = np.asarray(d, dtype=complex)
+    if d.shape != (n,):
+        raise ValueError(f"phase vector shape {d.shape} != ({n},)")
+    dev = np.max(np.abs(np.abs(d) - 1.0), initial=0.0)
+    if not dev <= linalg.UNITARY_TOL:  # also rejects NaN
+        raise ValueError(f"term is not unitary (max ||d_k| - 1| = {dev:.3e})")
+    return r, perm, d
 
 
 def reversal_cost(m: SignReversalMap) -> float:
-    return float(sum(r for r, _ in m.terms))
+    return float(sum(r for r, _, _ in m.terms))
 
 
 def apply_reversal(m: SignReversalMap, target) -> np.ndarray:
@@ -54,8 +65,8 @@ def apply_reversal(m: SignReversalMap, target) -> np.ndarray:
     if target.shape != (m.n, m.n):
         raise ValueError(f"target shape {target.shape} != ({m.n}, {m.n})")
     out = np.zeros_like(target)
-    for r, u in m.terms:
-        out += r * (u.conj().T @ target @ u)
+    for r, perm, d in m.terms:
+        out += (r * d.conj())[:, None] * target[np.ix_(perm, perm)] * d
     return out
 
 
@@ -97,39 +108,23 @@ def reversal_from_coloring(g: Graph, coloring: Coloring) -> SignReversalMap:
             raise ValueError("graphs with edges need at least 2 colors")
         raise ValueError("sign reversal from a 1-coloring is empty")
     omega = np.exp(2j * np.pi / q)
-    d = omega ** np.asarray(coloring.colors)
-    terms = tuple((1.0, np.diag(d**j)) for j in range(1, q))
-    return SignReversalMap(g.n, terms)
+    d, identity = omega ** np.asarray(coloring.colors), np.arange(g.n)
+    return SignReversalMap(g.n, tuple((1.0, identity, d**j) for j in range(1, q)))
 
 
-def weyl_heisenberg_family(n) -> List[np.ndarray]:
-    """The n^2 unitaries X^a Z^b (cyclic shift and modulation), identity first."""
+def weyl_heisenberg_family(n) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The n^2 unitaries X^a Z^b as (perm, d), identity first: ((k + a) mod n, omega^{b k})."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    omega = np.exp(2j * np.pi / n)
-    shift = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        shift[(j + 1) % n, j] = 1.0
-    clock = np.diag(omega ** np.arange(n))
-    out = []
-    xa = np.eye(n, dtype=complex)
-    for _a in range(n):
-        zb = np.eye(n, dtype=complex)
-        for _b in range(n):
-            out.append(xa @ zb)
-            zb = zb @ clock
-        xa = xa @ shift
-    return out
+    k = np.arange(n)
+    return [((k + a) % n, np.exp(2j * np.pi * (b * k % n) / n)) for a in range(n) for b in range(n)]
 
 
 def schur_average(m) -> np.ndarray:
     """Average of U^H m U over the Weyl-Heisenberg family: (tr m / n) I."""
-    m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
-    acc = np.zeros_like(m)
-    for u in weyl_heisenberg_family(n):
-        acc += u.conj().T @ m @ u
-    return acc / (n * n)
+    n = np.shape(m)[0]
+    family = weyl_heisenberg_family(n)
+    return apply_reversal(SignReversalMap(n, tuple((1.0 / n**2, p, d) for p, d in family)), m)
 
 
 def group_sign_reversal(n) -> SignReversalMap:
@@ -140,7 +135,7 @@ def group_sign_reversal(n) -> SignReversalMap:
     if n < 2:
         raise ValueError("group reversal needs dimension >= 2")
     family = weyl_heisenberg_family(n)
-    return SignReversalMap(n, tuple((1.0, u) for u in family[1:]))
+    return SignReversalMap(n, tuple((1.0, perm, d) for perm, d in family[1:]))
 
 
 def cost_lower_bound(target) -> float:
@@ -149,18 +144,21 @@ def cost_lower_bound(target) -> float:
 
 
 def serialize_map(m: SignReversalMap) -> dict:
-    """JSON-ready document: weights and row-major [re, im] unitary entries."""
-    terms = []
-    for r, u in m.terms:
-        rows = [[[fmt12(z.real), fmt12(z.imag)] for z in row] for row in u]
-        terms.append({"r": fmt12(r), "U": rows})
+    """JSON-ready document: per term its weight, permutation and [re, im] phases."""
+    terms = [
+        {"r": fmt12(r), "perm": perm.tolist(), "d": [[fmt12(z.real), fmt12(z.imag)] for z in d]}
+        for r, perm, d in m.terms
+    ]
     return {"n": m.n, "terms": terms}
 
 
 def deserialize_map(doc: dict) -> SignReversalMap:
-    n = int(doc["n"])
-    terms = []
-    for t in doc["terms"]:
-        u = np.array([[complex(re, im) for re, im in row] for row in t["U"]])
-        terms.append((float(t["r"]), u))
-    return SignReversalMap(n, tuple(terms))
+    """Read serialize_map's document; one that is not a map raises ValueError."""
+    try:
+        n = int(doc["n"])
+        terms = tuple(
+            (float(t["r"]), t["perm"], [complex(re, im) for re, im in t["d"]]) for t in doc["terms"]
+        )
+    except KeyError as exc:
+        raise ValueError(f"map document has no {exc.args[0]!r} field") from None
+    return SignReversalMap(n, terms)

@@ -306,6 +306,18 @@ class TestReverse:
         assert emitted["n"] == 3
         assert len(emitted["terms"]) == 2
 
+    def test_k100_emit_map(self, tmp_path, capsys):
+        """Each of K100's 99 terms is written as a permutation and a phase vector of length 100."""
+        col, map_path = tmp_path / "k100.col", tmp_path / "map.json"
+        assert main(["gen", "complete", "100", "--out", str(col)]) == EXIT_OK
+        assert main(["reverse", str(col), "--emit-map", str(map_path), "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["ok"]
+        terms = json.loads(map_path.read_text())["terms"]
+        assert len(terms) == 99
+        for term in terms:
+            assert term.keys() == {"r", "perm", "d"}
+            assert len(term["perm"]) == 100 and len(term["d"]) == 100
+
 
 class TestCompare:
     def test_single_file_row(self, k3_col, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -25,29 +27,80 @@ def traceless(h):
     return h - (np.trace(h) / n) * np.eye(n)
 
 
+def dense(perm, d):
+    """The n x n unitary P diag(d) of a (perm, d) term: column k is d[k] e_perm[k]."""
+    n = len(perm)
+    u = np.zeros((n, n), dtype=complex)
+    u[perm, np.arange(n)] = d
+    return u
+
+
+def dense_weyl_heisenberg(n):
+    """Reference: X^a Z^b by dense matrix products, a outer, b inner."""
+    omega = np.exp(2j * np.pi / n)
+    shift = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        shift[(j + 1) % n, j] = 1.0
+    clock = np.diag(omega ** np.arange(n))
+    out = []
+    xa = np.eye(n, dtype=complex)
+    for _a in range(n):
+        zb = np.eye(n, dtype=complex)
+        for _b in range(n):
+            out.append(xa @ zb)
+            zb = zb @ clock
+        xa = xa @ shift
+    return out
+
+
+def dense_apply(m, target):
+    """Reference: sum of r U^H T U with each term expanded to its dense unitary."""
+    return sum(r * (dense(p, d).conj().T @ target @ dense(p, d)) for r, p, d in m.terms)
+
+
 class TestMapBasics:
     def test_cost_sums_weights(self):
-        u = np.eye(2, dtype=complex)
-        assert reversal_cost(SignReversalMap(2, ((1.0, u),))) == 1.0
-        assert reversal_cost(SignReversalMap(2, ((0.5, u), (0.5, u)))) == 1.0
+        perm, d = [0, 1], np.ones(2)
+        assert reversal_cost(SignReversalMap(2, ((1.0, perm, d),))) == 1.0
+        assert reversal_cost(SignReversalMap(2, ((0.5, perm, d), (0.5, perm, d)))) == 1.0
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            SignReversalMap(2, ((0.0, np.eye(2)),))
+            SignReversalMap(2, ((0.0, [0, 1], np.ones(2)),))
 
     def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError, match="not unitary"):
-            SignReversalMap(2, ((1.0, 2.0 * np.eye(2)),))
+        for d in ([2.0, 2.0], [1.0, 1.0 + 1e-9], [1.0, np.nan]):
+            with pytest.raises(ValueError, match="not unitary"):
+                SignReversalMap(2, ((1.0, [0, 1], d),))
+
+    def test_non_permutation_rejected(self):
+        for perm in ([0, 0], [1, 2], [0.0, 1.0], [[0, 1]], [0, 1, 2]):
+            with pytest.raises(ValueError, match="not a permutation of range"):
+                SignReversalMap(2, ((1.0, perm, np.ones(2)),))
+
+    def test_phase_length_rejected(self):
+        with pytest.raises(ValueError, match="phase vector shape"):
+            SignReversalMap(2, ((1.0, [0, 1], np.ones(3)),))
 
     def test_apply_identity_term(self):
         h = linalg.random_hermitian(4, 0)
-        m = SignReversalMap(4, ((1.0, np.eye(4)),))
+        m = SignReversalMap(4, ((1.0, np.arange(4), np.ones(4)),))
         assert np.allclose(apply_reversal(m, h), h)
 
     def test_apply_k2_diagonal(self):
-        m = SignReversalMap(2, ((1.0, np.diag([1.0, -1.0])),))
+        m = SignReversalMap(2, ((1.0, [0, 1], [1.0, -1.0]),))
         got = apply_reversal(m, np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(got, [[0, -1], [-1, 0]])
+
+    def test_matches_dense_reference(self):
+        graphs = (complete(2), complete(3), cycle(5), complete(6))
+        maps = [reversal_from_coloring(g, exact_chi(g).witness) for g in graphs]
+        maps += [group_sign_reversal(n) for n in range(2, 7)]
+        mixed = ((0.25, [2, 0, 1], np.exp([0.3j, -1j, 2j])), (0.75, [1, 0, 2], [1j, -1.0, 1.0]))
+        maps.append(SignReversalMap(3, mixed))
+        for i, m in enumerate(maps):
+            h = linalg.random_hermitian(m.n, 300 + i)
+            assert np.allclose(apply_reversal(m, h), dense_apply(m, h), atol=1e-12)
 
     def test_apply_zero_matrix(self):
         m = group_sign_reversal(3)
@@ -69,7 +122,7 @@ class TestVerify:
         assert check.residual <= 1e-14
 
     def test_identity_map_fails(self):
-        m = SignReversalMap(3, ((1.0, np.eye(3)),))
+        m = SignReversalMap(3, ((1.0, [0, 1, 2], np.ones(3)),))
         for scale in (1.0, 1e-12):
             h = scale * traceless(linalg.random_hermitian(3, 4))
             check = verify_reversal(m, h)
@@ -127,19 +180,32 @@ class TestWeylHeisenberg:
         for n in (1, 2, 3, 5):
             family = weyl_heisenberg_family(n)
             assert len(family) == n * n
-            assert np.allclose(family[0], np.eye(n))
+            perm, d = family[0]
+            assert list(perm) == list(range(n))
+            assert np.array_equal(d, np.ones(n))
 
     def test_all_unitary(self):
-        for u in weyl_heisenberg_family(4):
+        for perm, d in weyl_heisenberg_family(4):
+            assert sorted(perm) == [0, 1, 2, 3]
+            assert np.abs(np.abs(d) - 1.0).max() <= 1e-14
+            u = dense(perm, d)
             assert np.linalg.norm(u.conj().T @ u - np.eye(4)) <= 1e-12
 
     def test_n2_is_pauli_family(self):
-        family = weyl_heisenberg_family(2)
+        family = [dense(perm, d) for perm, d in weyl_heisenberg_family(2)]
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         z = np.array([[1, 0], [0, -1]], dtype=complex)
         assert np.allclose(family[1], z)
         assert np.allclose(family[2], x)
         assert np.allclose(family[3], x @ z)
+
+    def test_matches_dense_products(self):
+        for n in range(1, 8):
+            family = weyl_heisenberg_family(n)
+            reference = dense_weyl_heisenberg(n)
+            assert len(family) == len(reference)
+            for (perm, d), u in zip(family, reference):
+                assert np.allclose(dense(perm, d), u, atol=1e-12)
 
 
 class TestSchurAverage:
@@ -226,8 +292,8 @@ class TestCostLowerBound:
         # convex mixture of two verifying maps also verifies
         mixture = SignReversalMap(
             10,
-            tuple((0.5 * r, u) for r, u in coloring_map.terms)
-            + tuple((0.5 * r, u) for r, u in group_map.terms),
+            tuple((0.5 * r, p, d) for r, p, d in coloring_map.terms)
+            + tuple((0.5 * r, p, d) for r, p, d in group_map.terms),
         )
         for rmap in (coloring_map, group_map, mixture):
             assert verify_reversal(rmap, target, tol=1e-9).ok
@@ -242,6 +308,37 @@ class TestSerialization:
         back = deserialize_map(doc)
         assert back.n == rmap.n
         assert len(back.terms) == len(rmap.terms)
-        for (r1, u1), (r2, u2) in zip(rmap.terms, back.terms):
+        assert doc["terms"][0].keys() == {"r", "perm", "d"}
+        for (r1, p1, d1), (r2, p2, d2) in zip(rmap.terms, back.terms):
             assert r1 == pytest.approx(r2)
-            assert np.allclose(u1, u2, atol=1e-10)
+            assert np.array_equal(p1, p2)
+            assert np.allclose(d1, d2, atol=1e-10)
+
+    def test_group_map_round_trip(self):
+        rmap = group_sign_reversal(3)
+        back = deserialize_map(json.loads(json.dumps(serialize_map(rmap))))
+        h = traceless(linalg.random_hermitian(3, 11))
+        assert verify_reversal(back, h).ok
+        for (_, p1, d1), (_, p2, d2) in zip(rmap.terms, back.terms):
+            assert np.array_equal(p1, p2)
+            assert np.allclose(d1, d2, atol=1e-11)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t.pop("r"), "no 'r' field"),
+            (lambda t: t.pop("perm"), "no 'perm' field"),
+            (lambda t: t.pop("d"), "no 'd' field"),
+            (lambda t: t.update(perm=[0, 1]), r"perm of shape \(2,\) is not a permutation"),
+            (lambda t: t.update(d=[[1.0, 0.0]] * 4), r"phase vector shape \(4,\)"),
+            (lambda t: t.update(perm=[0, 2, 2]), "not a permutation of range"),
+            (lambda t: t.update(d=[[1.0, 0.0], [0.0, 1.0], [0.5, 0.0]]), "not unitary"),
+        ],
+        ids=["missing-r", "missing-perm", "missing-d", "perm-length", "d-length",
+             "non-permutation", "non-unit-phase"],
+    )
+    def test_malformed_document_rejected(self, edit, message):
+        doc = serialize_map(reversal_from_coloring(complete(3), Coloring((0, 1, 2), 3)))
+        edit(doc["terms"][1])
+        with pytest.raises(ValueError, match=message):
+            deserialize_map(doc)

@@ -27,7 +27,7 @@ from .graphs import (
     is_proper,
     parse_dimacs,
 )
-from .linalg import conjugate, eigh, hadamard_product, min_eigenvalue, spectrum
+from .linalg import eigh, hadamard_product, min_eigenvalue, spectrum
 from .majorization import MajorizationReport, majorizes, minimal_tau, sort_descending
 from .reversal import (
     SignReversalMap,
@@ -57,7 +57,6 @@ __all__ = [
     "barnes_bound",
     "barnes_weight",
     "chromatic_lower_bound",
-    "conjugate",
     "cost_lower_bound",
     "default_corpus",
     "eigh",

@@ -4,12 +4,16 @@ Every lower bound reads the spectrum of a Hadamard-weighted adjacency
 matrix M = W * A. Hoffman and tau-ones use the all-ones W, Barnes uses
 W = D^{-1/2} 1 D^{-1/2} with D = |lambda_n| I, and tau_W + 1 takes any
 Hermitian W. Every M is built by `_EdgeMatrices` from its values on the
-edge list, and M becomes tau in one evaluator (`_tau`). A report reads
-Wilf, Hoffman, Barnes and tau-ones from one spectrum of A. tau is
-homogeneous in M, so it takes no tolerance here: `minimal_tau` applies
-its own fixed relative one. The weight search is a gradient ascent on the
-smoothed lambda_1 / |lambda_n|, real or complex, from the all-ones
-incumbent, so the result never regresses below the Hoffman-style baseline.
+edge list, and `_EdgeMatrices.evaluate`, which scales it to ||M||_F = 1,
+is the module's one eigensolve. A report evaluates the all-ones edge
+vector once (`_ones_start`), and that spectrum feeds Wilf, Hoffman,
+Barnes, tau-ones and the weight search: M = A / sqrt(2m), so spec(A) is
+spec(M) * sqrt(2m), and the ratios are scale-free. tau is homogeneous in
+M, so it takes no tolerance here: `minimal_tau` applies its own fixed
+relative one. The weight search is a gradient ascent on the smoothed
+lambda_1 / |lambda_n|, real or complex, from the all-ones incumbent, so
+the result never regresses below the Hoffman-style baseline, and it
+returns the edge values and the tau it scored.
 Each ascent step writes its candidate's edge values into one reused n x n
 buffer per dtype and forms the smoothed ratio's derivatives only for a
 candidate it accepts. The search is skipped where the all-ones tau + 1
@@ -29,7 +33,7 @@ import numpy as np
 
 from . import linalg
 from .exact import exact_chi, greedy_dsatur
-from .graphs import Graph, adjacency_matrix, is_connected
+from .graphs import Graph, is_connected
 from .linalg import fmt12
 from .majorization import minimal_tau
 
@@ -83,7 +87,7 @@ class _EdgeMatrices:
     """
 
     def __init__(self, n, index):
-        us, vs = index
+        us, vs = self.index = index
         self.n = n
         self.upper, self.lower = us * n + vs, vs * n + us
         self._flat = {}
@@ -97,44 +101,62 @@ class _EdgeMatrices:
         return flat.reshape(self.n, self.n)
 
     def evaluate(self, z):
-        """Edge values z scaled to ||M||_F = 1, that M, and its spectrum: one eigensolve."""
+        """Edge values z scaled to ||M||_F = 1, that M, and its ascending spectrum: one
+        eigensolve. z must not vanish on every edge; no caller passes such a z."""
         z = z / (np.linalg.norm(z) * math.sqrt(2.0))
         m = self.matrix(z)
         return z, m, np.linalg.eigvalsh(m)
 
 
-def weighted_adjacency(g: Graph, w: WeightMatrix) -> np.ndarray:
-    """M = W * A (entrywise): W on the edge set, zero elsewhere; real if W is real there."""
+def _edge_values(g: Graph, w: WeightMatrix):
+    """The edge matrices of g and W's values on its edges, real if W is real there."""
     if w.matrix.shape != (g.n, g.n):
         raise ValueError(f"weight shape {w.matrix.shape} != ({g.n}, {g.n})")
-    index = _edge_index(g)
-    z = w.matrix[index]
+    edges = _EdgeMatrices(g.n, _edge_index(g))
+    z = w.matrix[edges.index]
     if not np.any(z.imag):
         z = z.real
     if g.num_edges and not np.any(z):
         raise DegenerateGraphError("weight matrix vanishes on every edge")
-    return _EdgeMatrices(g.n, index).matrix(z)
+    return edges, z
 
 
-def _adjacency_bounds(g: Graph):
-    """Wilf, Hoffman (= Barnes at D = |lambda_n| I), |lambda_n| and spec(A), one eigensolve."""
+def weighted_adjacency(g: Graph, w: WeightMatrix) -> np.ndarray:
+    """M = W * A (entrywise): W on the edge set, zero elsewhere; real if W is real there."""
+    edges, z = _edge_values(g, w)
+    return edges.matrix(z)
+
+
+def _ones_start(g: Graph):
+    """The edge matrices of g and the `evaluate` triple of the all-ones edge values.
+
+    That one eigensolve feeds Wilf, Hoffman, Barnes, tau-ones, the tight-skip test and
+    restart 0 of the weight search.
+    """
     if g.num_edges == 0:
         raise DegenerateGraphError("graph has no edges")
-    lam = linalg.spectrum(adjacency_matrix(g))
-    lam_n = abs(lam[-1])
-    return float(lam[0] + 1.0), float(lam[0] / lam_n + 1.0), lam_n, lam
+    edges = _EdgeMatrices(g.n, _edge_index(g))
+    return edges, edges.evaluate(np.ones(g.num_edges))
+
+
+def _adjacency_bounds(start):
+    """Wilf, Hoffman (= Barnes at D = |lambda_n| I) and |lambda_n| of A from the all-ones
+    triple: its M is z_0 A entrywise, so spec(A) = spec(M) / z_0, and Hoffman's ratio is
+    read from spec(M) as it is."""
+    z, _m, lam = start
+    return float(lam[-1] / z[0] + 1.0), float(lam[-1] / -lam[0] + 1.0), float(-lam[0] / z[0])
 
 
 def hoffman_bound(g: Graph) -> float:
     """lambda_1 / |lambda_n| + 1."""
-    return _adjacency_bounds(g)[1]
+    return _adjacency_bounds(_ones_start(g)[1])[1]
 
 
 def wilf_upper_bound(g: Graph) -> float:
     """lambda_1 + 1."""
     if g.num_edges == 0:
         return 1.0
-    return _adjacency_bounds(g)[0]
+    return _adjacency_bounds(_ones_start(g)[1])[0]
 
 
 def barnes_bound(g: Graph) -> Tuple[float, np.ndarray]:
@@ -149,17 +171,8 @@ def barnes_bound(g: Graph) -> Tuple[float, np.ndarray]:
     """
     if not is_connected(g):
         raise DisconnectedGraphError("Barnes bound requires a connected graph")
-    _wilf, hoffman, lam_n, _lam = _adjacency_bounds(g)
+    _wilf, hoffman, lam_n = _adjacency_bounds(_ones_start(g)[1])
     return hoffman, np.full(g.n, lam_n)
-
-
-def _tau(m):
-    """tau of the spectrum of M / ||M||_F, for a nonzero edge-supported M.
-
-    No caller passes M = 0: `weighted_adjacency` rejects a W that vanishes
-    on every edge, and the weight search keeps ||M||_F = 1.
-    """
-    return minimal_tau(linalg.spectrum(m / np.linalg.norm(m)))
 
 
 def tau_bound(g: Graph, w: WeightMatrix) -> float:
@@ -170,7 +183,8 @@ def tau_bound(g: Graph, w: WeightMatrix) -> float:
     """
     if g.num_edges == 0:
         raise DegenerateGraphError("graph has no edges")
-    return float(_tau(weighted_adjacency(g, w)) + 1.0)
+    edges, z = _edge_values(g, w)
+    return float(minimal_tau(edges.evaluate(z)[2]) + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +292,20 @@ def optimize_weight(
     by tau. The all-ones weighting is the incumbent and restart 0's start, so the result is
     at least the ones baseline; restart r > 0 draws per-edge weights from uniform[0.5, 1.5]
     (times phases from uniform[0, 2pi) for complex weights), seeded as seed + r.
-    `iterations` caps eigensolves per restart.
+    `iterations` caps eigensolves per restart. The returned tau is the winner's score.
     """
-    if g.num_edges == 0:
-        raise DegenerateGraphError("graph has no edges")
-    edges = _EdgeMatrices(g.n, _edge_index(g))
-    start = edges.evaluate(np.ones(g.num_edges))
+    edges, start = _ones_start(g)
+    z, tau, origin = _weight_search(g, edges, start, restarts, iterations, seed, allow_complex)
+    return WeightMatrix(edges.matrix(z), origin), tau
+
+
+def _weight_search(g, edges, start, restarts, iterations, seed, allow_complex):
+    """`optimize_weight` from the all-ones triple `start` of `_ones_start`: the winning edge
+    values (||M||_F = 1), the tau they scored and the weighting's origin."""
     best_z, best_tau = start[0], minimal_tau(start[2])
     q = _near_integer(best_tau + 1.0)
     if q is not None and greedy_dsatur(g).num_colors <= q:
-        return WeightMatrix(start[1], f"ones(tau + 1 = greedy DSATUR colors = {q})"), best_tau
+        return best_z, best_tau, f"ones(tau + 1 = greedy DSATUR colors = {q})"
     for r_idx in range(max(1, restarts)):
         if r_idx > 0:
             rng = random.Random(seed + r_idx)
@@ -299,9 +317,7 @@ def optimize_weight(
         tau = minimal_tau(lam)
         if tau > best_tau + 1e-15:
             best_tau, best_z = tau, z
-    m = edges.matrix(best_z)  # ||M||_F = 1
-    w = WeightMatrix(m, f"optimized(seed={seed}, restarts={restarts}, iterations={iterations})")
-    return w, float(_tau(m))
+    return best_z, best_tau, f"optimized(seed={seed}, restarts={restarts}, iterations={iterations})"
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +391,15 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
             report.wilf = wilf_upper_bound(g)
         if methods & {"hoffman", "tau-ones", "tau-opt", "barnes"}:
             report.notes.append("edgeless: spectral lower bounds undefined, reporting 1")
-    else:
-        if methods & {"wilf", "hoffman", "tau-ones", "barnes"}:
-            wilf, hoffman, lam_n, lam = _adjacency_bounds(g)
+    elif methods & {"wilf", "hoffman", "tau-ones", "barnes", "tau-opt"}:
+        edges, start = _ones_start(g)
+        wilf, hoffman, lam_n = _adjacency_bounds(start)
         if "wilf" in methods:
             report.wilf = wilf
         if "hoffman" in methods:
             report.hoffman = hoffman
         if "tau-ones" in methods:
-            report.tau_ones = minimal_tau(lam) + 1.0
+            report.tau_ones = minimal_tau(start[2]) + 1.0
         if "barnes" in methods:
             if is_connected(g):
                 report.barnes = hoffman
@@ -391,16 +407,11 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
             else:
                 report.notes.append("disconnected: Barnes bound skipped")
         if "tau-opt" in methods:
-            w, tau = optimize_weight(
-                g,
-                restarts=config.restarts,
-                iterations=config.iterations,
-                seed=config.seed,
-                allow_complex=config.allow_complex,
+            z, tau, _origin = _weight_search(
+                g, edges, start, config.restarts, config.iterations, config.seed, config.allow_complex
             )
             report.tau_optimized = tau + 1.0
-            us, vs = _edge_index(g)
-            z = w.matrix[us, vs]
+            us, vs = edges.index
             report.certificates["optimizedWeight"] = [
                 [u, v, fmt12(re), fmt12(im)]
                 for u, v, re, im in zip(us.tolist(), vs.tolist(), z.real, z.imag)

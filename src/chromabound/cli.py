@@ -145,10 +145,9 @@ def cmd_reverse(args) -> int:
             f"touches {entries} entries, above the limit of {graphs.MAX_VERTICES**2}"
         )
     if args.weight == "ones":
-        w = bounds.ones_weight(g.n)
+        m = graphs.adjacency_matrix(g)  # M = W * A = A for the all-ones W
     else:
-        w = bounds.WeightMatrix(linalg.random_hermitian(g.n, args.seed), "random")
-    m = bounds.weighted_adjacency(g, w)
+        m = bounds.weighted_adjacency(g, bounds.WeightMatrix(linalg.random_hermitian(g.n, args.seed), "random"))
     rmap = reversal.reversal_from_coloring(g, coloring)
     check = reversal.verify_reversal(rmap, m, tol=args.tol)
     doc = {

@@ -5,8 +5,9 @@ which handles real symmetric and complex Hermitian input alike. Every
 input passes one validation path first: square, finite, and Hermitian
 up to a deviation of HERMITIAN_RTOL times its own Frobenius norm. Like
 every matrix check in the package, that rule has no absolute floor, so
-it means the same at every scale. The unitarity check alone is
-absolute: U^H U - I has the fixed scale of I.
+it means the same at every scale. UNITARY_TOL alone is absolute: the
+sign-reversal maps compare each phase's ||d_k| - 1| with it, and that
+has the fixed scale of 1.
 """
 
 from __future__ import annotations
@@ -84,24 +85,6 @@ def eigen_residuals(m, w, v):
     return np.linalg.norm(r, axis=0)
 
 
-def check_unitary(u):
-    u = np.asarray(u, dtype=complex)
-    dev = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if dev > UNITARY_TOL:
-        raise ValueError(f"matrix is not unitary (||U^H U - I||_F = {dev:.3e})")
-    return u
-
-
-def conjugate(m, u):
-    """U^{-1} M U = U^H M U for unitary U; preserves the spectrum."""
-    m = np.asarray(m, dtype=complex)
-    u = check_unitary(u)
-    if u.shape != m.shape:
-        raise ValueError(f"shape mismatch: {m.shape} vs {u.shape}")
-    out = u.conj().T @ m @ u
-    return (out + out.conj().T) / 2.0
-
-
 def random_hermitian(n, seed, complex_entries=True):
     """Seeded random Hermitian matrix (Gaussian entries, symmetrized)."""
     rng = np.random.default_rng(seed)
@@ -109,11 +92,3 @@ def random_hermitian(n, seed, complex_entries=True):
     if complex_entries:
         a = a + 1j * rng.standard_normal((n, n))
     return (a + a.conj().T) / 2.0
-
-
-def random_unitary(n, seed):
-    """Seeded Haar-ish random unitary via QR of a complex Gaussian matrix."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromabound import bounds, linalg
+from chromabound import bounds, graphs, linalg
 from chromabound.bounds import (
     BoundConfig,
     DegenerateGraphError,
@@ -198,7 +198,8 @@ class TestOptimizeWeight:
         assert tau == pytest.approx(baseline, abs=1e-12)
 
     def test_incumbent_reuses_restart_zero_start(self, monkeypatch):
-        """The all-ones incumbent is restart 0's start: one eigvalsh there, one for the final tau."""
+        """The all-ones incumbent is restart 0's start, and the winner's tau is its score: one
+        eigvalsh in all."""
         calls = []
         inner = np.linalg.eigvalsh
 
@@ -210,7 +211,7 @@ class TestOptimizeWeight:
         baseline = tau_bound(petersen(), ones_weight(10)) - 1.0
         calls.clear()
         _w, tau = optimize_weight(petersen(), restarts=1, iterations=1)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert tau == pytest.approx(baseline, abs=1e-12)
 
     @pytest.mark.parametrize("allow_complex", [False, True])
@@ -538,9 +539,9 @@ class TestReport:
                 w[v, u] = complex(re, -im)
             assert tau_bound(g, WeightMatrix(w)) == pytest.approx(report.tau_optimized, abs=1e-9), name
 
-    def test_one_spectrum_per_report(self, monkeypatch):
-        """Wilf, Hoffman, tau-ones and Barnes share one eigensolve of one A."""
-        calls = {"spectrum": 0, "adjacency_matrix": 0, "is_connected": 0}
+    @pytest.fixture
+    def solver_calls(self, monkeypatch):
+        calls = {"eigvalsh": 0, "eigh": 0, "adjacency_matrix": 0, "is_connected": 0}
 
         def counted(module, name):
             inner = getattr(module, name)
@@ -551,13 +552,30 @@ class TestReport:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(bounds.linalg, "spectrum")
-        counted(bounds, "adjacency_matrix")
+        counted(np.linalg, "eigvalsh")
+        counted(np.linalg, "eigh")
+        counted(graphs, "adjacency_matrix")
         counted(bounds, "is_connected")
+        return calls
+
+    def test_one_spectrum_per_report(self, solver_calls):
+        """Wilf, Hoffman, tau-ones and Barnes share one eigensolve of the all-ones M, and no A is built."""
         config = BoundConfig(methods=("wilf", "hoffman", "tau-ones", "barnes", "exact"))
         report = chromatic_lower_bound(petersen(), config, "petersen")
-        assert calls == {"spectrum": 1, "adjacency_matrix": 1, "is_connected": 1}
+        assert solver_calls == {"eigvalsh": 1, "eigh": 0, "adjacency_matrix": 0, "is_connected": 1}
         assert report.lower == report.exact_chi == 3
+
+    @pytest.mark.parametrize("g", [complete(5), cycle(6)], ids=["K5", "C6"])
+    def test_tight_search_reuses_the_report_spectrum(self, g, solver_calls):
+        """Where the search is skipped, tau-opt adds no eigensolve to the adjacency bounds'."""
+        report = chromatic_lower_bound(g, BoundConfig(restarts=2, iterations=60), "g")
+        assert solver_calls == {"eigvalsh": 1, "eigh": 0, "adjacency_matrix": 0, "is_connected": 1}
+        assert report.tau_optimized == report.tau_ones
+
+    def test_exact_alone_solves_nothing(self, solver_calls):
+        report = chromatic_lower_bound(petersen(), BoundConfig(methods=("exact",)), "petersen")
+        assert solver_calls == {"eigvalsh": 0, "eigh": 0, "adjacency_matrix": 0, "is_connected": 0}
+        assert report.lower == 1 and report.exact_chi == 3
 
     def test_report_matches_public_functions(self, corpus):
         config = BoundConfig(methods=("wilf", "hoffman", "tau-ones", "barnes"))
@@ -567,7 +585,7 @@ class TestReport:
             if g.num_edges == 0:
                 continue
             assert report.hoffman == hoffman_bound(g), name
-            assert report.tau_ones == pytest.approx(tau_bound(g, ones_weight(g.n)), rel=1e-12), name
+            assert report.tau_ones == tau_bound(g, ones_weight(g.n)), name
             if report.barnes is None:
                 with pytest.raises(DisconnectedGraphError):
                     barnes_bound(g)
@@ -575,6 +593,23 @@ class TestReport:
             value, d = barnes_bound(g)
             assert report.barnes == value, name
             assert report.certificates["barnesD"] == [linalg.fmt12(x) for x in d], name
+
+    @pytest.mark.parametrize("allow_complex", [False, True])
+    def test_search_matches_optimize_weight(self, corpus, allow_complex, monkeypatch):
+        """The report's search and optimize_weight give the same edge values and tau, bit for bit."""
+        monkeypatch.setattr(bounds, "fmt12", lambda x: x)  # keep the certificate unrounded
+        kwargs = dict(restarts=2, iterations=60, seed=7, allow_complex=allow_complex)
+        config = BoundConfig(methods=("tau-opt",), **kwargs)
+        for name, g in corpus:
+            if g.num_edges == 0:
+                continue
+            report = chromatic_lower_bound(g, config, name)
+            w, tau = optimize_weight(g, **kwargs)
+            z = w.matrix[bounds._edge_index(g)]
+            entries = report.certificates["optimizedWeight"]
+            assert [re for _u, _v, re, _im in entries] == z.real.tolist(), name
+            assert [im for _u, _v, _re, im in entries] == z.imag.tolist(), name
+            assert report.tau_optimized == tau + 1.0, name
 
     def test_all_bounds_below_wilf(self, corpus):
         config = BoundConfig(restarts=1, iterations=20)

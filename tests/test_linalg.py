@@ -97,28 +97,6 @@ class TestSpectrum:
                 linalg.eigh(m)
 
 
-class TestConjugate:
-    def test_identity(self):
-        h = linalg.random_hermitian(5, 0)
-        assert np.allclose(linalg.conjugate(h, np.eye(5)), h)
-
-    def test_permutation_swaps_diag(self):
-        got = linalg.conjugate(np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(got, np.diag([-1.0, 1.0]))
-
-    def test_spectrum_preserved(self):
-        for seed in range(10):
-            h = linalg.random_hermitian(6, seed)
-            u = linalg.random_unitary(6, 1000 + seed)
-            assert linalg.spectrum(linalg.conjugate(h, u)) == pytest.approx(
-                linalg.spectrum(h), abs=1e-9
-            )
-
-    def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError, match="not unitary"):
-            linalg.conjugate(np.eye(2), 2.0 * np.eye(2))
-
-
 class TestKyFan:
     """Spec(sum) is majorized by the sum of sorted spectra."""
 

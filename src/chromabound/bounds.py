@@ -5,21 +5,23 @@ matrix M = W * A. Hoffman and tau-ones use the all-ones W, Barnes uses
 W = D^{-1/2} 1 D^{-1/2} with D = |lambda_n| I, and tau_W + 1 takes any
 Hermitian W. Every M is built by `_EdgeMatrices` from its values on the
 edge list, and `_EdgeMatrices.evaluate`, which scales it to ||M||_F = 1,
-is the module's one eigensolve. A report evaluates the all-ones edge
-vector once (`_ones_start`), and that spectrum feeds Wilf, Hoffman,
-Barnes, tau-ones and the weight search: M = A / sqrt(2m), so spec(A) is
-spec(M) * sqrt(2m), and the ratios are scale-free. tau is homogeneous in
-M, so it takes no tolerance here: `minimal_tau` applies its own fixed
-relative one. The weight search is a gradient ascent on the smoothed
-lambda_1 / |lambda_n|, real or complex, from the all-ones incumbent, so
-the result never regresses below the Hoffman-style baseline, and it
-returns the edge values and the tau it scored.
+solves it through `linalg.eigensolve`, the package's one eigensolver. A
+report evaluates the all-ones edge vector once (`_ones_start`) and takes
+its tau once, and that spectrum feeds Wilf, Hoffman, Barnes, tau-ones and
+the weight search: M = A / sqrt(2m), so spec(A) is spec(M) * sqrt(2m),
+and the ratios are scale-free. tau is homogeneous in M, so it takes no
+tolerance here: `minimal_tau` applies its own fixed relative one. The
+weight search is a gradient ascent on the smoothed lambda_1 / |lambda_n|,
+real or complex, from the all-ones incumbent, so the result never
+regresses below the Hoffman-style baseline, and it returns the edge
+values and the tau it scored.
 Each ascent step writes its candidate's edge values into one reused n x n
-buffer per dtype and forms the smoothed ratio's derivatives only for a
-candidate it accepts. The search is skipped where the all-ones tau + 1
-already equals the color count of greedy DSATUR: tau_W + 1 <= chi <= that
-count for every W, so no weighting can do better (this covers K_n and
-every bipartite graph with an edge).
+buffer per dtype, solves it without numpy.linalg's wrapper, and forms the
+smoothed ratio's derivatives, in place, only for a candidate it accepts.
+The search is skipped where the all-ones tau + 1 already equals the color
+count of greedy DSATUR: tau_W + 1 <= chi <= that count for every W, so no
+weighting can do better (this covers K_n and every bipartite graph with
+an edge).
 """
 
 from __future__ import annotations
@@ -97,15 +99,23 @@ class _EdgeMatrices:
         if flat is None:
             flat = self._flat[z.dtype] = np.zeros(self.n * self.n, dtype=np.result_type(z, float))
         flat[self.upper] = z
-        flat[self.lower] = z.conj() if np.iscomplexobj(z) else z
+        flat[self.lower] = z.conj() if z.dtype.kind == "c" else z
         return flat.reshape(self.n, self.n)
 
     def evaluate(self, z):
         """Edge values z scaled to ||M||_F = 1, that M, and its ascending spectrum: one
         eigensolve. z must not vanish on every edge; no caller passes such a z."""
-        z = z / (np.linalg.norm(z) * math.sqrt(2.0))
+        z = z / (_norm(z) * math.sqrt(2.0))
         m = self.matrix(z)
-        return z, m, np.linalg.eigvalsh(m)
+        return z, m, linalg.eigensolve(m)
+
+
+def _norm(z):
+    """||z||_2 of a vector, formed as numpy.linalg.norm forms it, without its wrapper."""
+    if z.dtype.kind == "c":
+        re, im = z.real, z.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(z.dot(z))
 
 
 def _edge_values(g: Graph, w: WeightMatrix):
@@ -204,27 +214,41 @@ MU, MIN_MU = 0.05, 0.02  # log-sum-exp width of the smoothing, and its floor
 
 def _smoothed_ratio(lam, mu):
     """lambda_1 / -lambda_n of an ascending spectrum, both smoothed by log-sum-exp of
-    width mu, and the terms `_ratio_derivatives` forms its derivatives from."""
-    top_w = np.exp((lam - lam[-1]) / mu)
-    bot_w = np.exp((lam[0] - lam) / mu)
-    top_s, bot_s = top_w.sum(), bot_w.sum()
-    top = lam[-1] + mu * math.log(top_s)
-    bot = lam[0] - mu * math.log(bot_s)
+    width mu, and the terms `_ratio_derivatives` forms its derivatives from.
+
+    The weights exp((lam - lambda_1) / mu) and exp((lambda_n - lam) / mu) share one buffer
+    of length 2n and one exp."""
+    n = len(lam)
+    lo, hi = float(lam[0]), float(lam[-1])
+    w = np.empty(2 * n)
+    top_w, bot_w = w[:n], w[n:]
+    np.subtract(lam, hi, out=top_w)
+    np.subtract(lo, lam, out=bot_w)
+    np.divide(w, mu, out=w)
+    np.exp(w, out=w)
+    top_s, bot_s = np.add.reduce(top_w), np.add.reduce(bot_w)
+    top = hi + mu * math.log(top_s)
+    bot = lo - mu * math.log(bot_s)
     ratio = top / -bot
     return ratio, (top_w, top_s, bot_w, bot_s, bot)
 
 
 def _ratio_derivatives(ratio, terms):
-    """The smoothed ratio's derivatives c_k in the eigenvalues lam_k."""
+    """The smoothed ratio's derivatives c_k in the eigenvalues lam_k, formed in the
+    buffer of `terms`, which they overwrite."""
     top_w, top_s, bot_w, bot_s, bot = terms
-    return (top_w / top_s + ratio * bot_w / bot_s) / -bot
+    np.divide(top_w, top_s, out=top_w)
+    np.multiply(bot_w, ratio, out=bot_w)
+    np.divide(bot_w, bot_s, out=bot_w)
+    np.add(top_w, bot_w, out=top_w)
+    return np.divide(top_w, -bot, out=top_w)
 
 
 def _edge_gradient(v, c, upper):
     """sum_k c_k dlambda_k / dz_uv = 2 sum_k c_k v_k[u] conj(v_k[v]) (Lewis & Overton 1996),
     read at the flat positions upper = u*n + v; its real and imaginary parts are the
     derivatives along Re z_uv and Im z_uv."""
-    vh = v.conj().T if np.iscomplexobj(v) else v.T
+    vh = v.conj().T if v.dtype.kind == "c" else v.T
     return 2.0 * ((v * c) @ vh).take(upper)
 
 
@@ -249,9 +273,9 @@ def _ascend(edges, start, budget):
             if solves == budget:
                 break
             c = _ratio_derivatives(ratio, terms)
-            grad = _edge_gradient(np.linalg.eigh(m)[1], c, edges.upper)
+            grad = _edge_gradient(linalg.eigensolve(m, vectors=True)[1], c, edges.upper)
             solves += 1
-            norm = np.linalg.norm(grad)
+            norm = _norm(grad)
             step *= 1.5
         else:
             step /= 2.0
@@ -295,14 +319,16 @@ def optimize_weight(
     `iterations` caps eigensolves per restart. The returned tau is the winner's score.
     """
     edges, start = _ones_start(g)
-    z, tau, origin = _weight_search(g, edges, start, restarts, iterations, seed, allow_complex)
+    z, tau, origin = _weight_search(
+        g, edges, start, minimal_tau(start[2]), restarts, iterations, seed, allow_complex
+    )
     return WeightMatrix(edges.matrix(z), origin), tau
 
 
-def _weight_search(g, edges, start, restarts, iterations, seed, allow_complex):
-    """`optimize_weight` from the all-ones triple `start` of `_ones_start`: the winning edge
-    values (||M||_F = 1), the tau they scored and the weighting's origin."""
-    best_z, best_tau = start[0], minimal_tau(start[2])
+def _weight_search(g, edges, start, start_tau, restarts, iterations, seed, allow_complex):
+    """`optimize_weight` from the all-ones triple `start` of `_ones_start` and its tau: the
+    winning edge values (||M||_F = 1), the tau they scored and the weighting's origin."""
+    best_z, best_tau = start[0], start_tau
     q = _near_integer(best_tau + 1.0)
     if q is not None and greedy_dsatur(g).num_colors <= q:
         return best_z, best_tau, f"ones(tau + 1 = greedy DSATUR colors = {q})"
@@ -398,8 +424,10 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
             report.wilf = wilf
         if "hoffman" in methods:
             report.hoffman = hoffman
+        if methods & {"tau-ones", "tau-opt"}:
+            tau_ones = minimal_tau(start[2])
         if "tau-ones" in methods:
-            report.tau_ones = minimal_tau(start[2]) + 1.0
+            report.tau_ones = tau_ones + 1.0
         if "barnes" in methods:
             if is_connected(g):
                 report.barnes = hoffman
@@ -408,7 +436,7 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
                 report.notes.append("disconnected: Barnes bound skipped")
         if "tau-opt" in methods:
             z, tau, _origin = _weight_search(
-                g, edges, start, config.restarts, config.iterations, config.seed, config.allow_complex
+                g, edges, start, tau_ones, config.restarts, config.iterations, config.seed, config.allow_complex
             )
             report.tau_optimized = tau + 1.0
             us, vs = edges.index

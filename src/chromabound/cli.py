@@ -138,11 +138,17 @@ def cmd_reverse(args) -> int:
     if g.num_edges == 0:
         raise CliError("graph has no edges; nothing to reverse")
     coloring = _coloring_for(g, args.colors, args.budget)
-    entries = (coloring.num_colors - 1) * g.n * g.n
+    terms = coloring.num_colors - 1
+    entries = terms * g.n * g.n
     if entries > graphs.MAX_VERTICES**2:
         raise CliError(
-            f"applying a map of {coloring.num_colors - 1} unitaries to a {g.n}x{g.n} target "
+            f"applying a map of {terms} unitaries to a {g.n}x{g.n} target "
             f"touches {entries} entries, above the limit of {graphs.MAX_VERTICES**2}"
+        )
+    if terms > graphs.MAX_VERTICES:
+        raise CliError(
+            f"a map of {terms} unitaries exceeds the limit of {graphs.MAX_VERTICES} terms; "
+            f"a proper coloring of {g.n} vertices needs at most {g.n} colors"
         )
     if args.weight == "ones":
         m = graphs.adjacency_matrix(g)  # M = W * A = A for the all-ones W

@@ -15,7 +15,10 @@ import numpy as np
 # chi's DSATUR works on n-bit integers (at this n on G(n, 0.01), greedy DSATUR
 # takes 0.03 s and the default budget of 10^6 nodes about 6 s). reverse also
 # refuses a q-coloring map with (q - 1) n^2 > MAX_VERTICES^2: applying each of
-# its q - 1 phase-vector unitaries touches all n^2 target entries.
+# its q - 1 phase-vector unitaries touches all n^2 target entries. It refuses
+# more than MAX_VERTICES terms too, since each term also has a fixed cost
+# whatever n, and a proper coloring of at most MAX_VERTICES vertices needs no
+# more colors than that.
 MAX_VERTICES = 2048
 
 

@@ -12,6 +12,7 @@ the eigenvalues sum to tr M and their 2-norm is ||M||_F, so
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -73,18 +74,24 @@ def minimal_tau(spec) -> float:
     must sum to within that of zero. Both rules scale with the spectrum,
     so scaling spec by any c > 0 leaves tau unchanged up to rounding.
     """
-    s = sort_descending(spec)
+    s = -np.sort(-np.asarray(spec, dtype=float))
     n = len(s)
-    scale = float(np.linalg.norm(s))
+    scale = math.sqrt(s.dot(s))  # as np.linalg.norm(s) forms it; NaN if any entry is
+    if scale != scale:
+        raise ValueError("vector contains NaN")
     if scale == 0.0:
         raise DegenerateSpectrumError("spectrum is identically zero")
-    if abs(s.sum()) > TAU_RTOL * scale:
-        raise ValueError(f"spectrum is not traceless (sum {s.sum():.3e})")
+    total = np.add.reduce(s)
+    if abs(total) > TAU_RTOL * scale:
+        raise ValueError(f"spectrum is not traceless (sum {total:.3e})")
     if n < 2:
         raise ValueError("need at least a 2-dimensional spectrum")
-    top = np.cumsum(s)[:-1]
-    denom = -np.cumsum(s[::-1])[:-1]
-    keep = ~(denom < TAU_RTOL * scale)
-    if not keep.any():
-        raise DegenerateSpectrumError("all denominators vanish; spectrum has no negative mass")
-    return float(np.max(top[keep] / denom[keep]))
+    top = np.add.accumulate(s)[:-1]
+    denom = -np.add.accumulate(s[::-1])[:-1]
+    drop = denom < TAU_RTOL * scale
+    if drop.any():  # the fancy index only where a denominator is skipped
+        if drop.all():
+            raise DegenerateSpectrumError("all denominators vanish; spectrum has no negative mass")
+        keep = ~drop
+        top, denom = top[keep], denom[keep]
+    return float((top / denom).max())

@@ -60,13 +60,21 @@ def reversal_cost(m: SignReversalMap) -> float:
 
 
 def apply_reversal(m: SignReversalMap, target) -> np.ndarray:
-    """Sum of r_j U_j^H target U_j over the map's terms."""
+    """Sum of r_j U_j^H target U_j over the map's terms.
+
+    Each term is formed in one reused n x n buffer and added into the result; a term
+    with the identity permutation reads the target without gathering it.
+    """
     target = np.asarray(target, dtype=complex)
     if target.shape != (m.n, m.n):
         raise ValueError(f"target shape {target.shape} != ({m.n}, {m.n})")
-    out = np.zeros_like(target)
+    out, term = np.zeros_like(target), np.empty_like(target)
+    identity = np.arange(m.n)
     for r, perm, d in m.terms:
-        out += (r * d.conj())[:, None] * target[np.ix_(perm, perm)] * d
+        moved = target if np.array_equal(perm, identity) else target[np.ix_(perm, perm)]
+        np.multiply((r * d.conj())[:, None], moved, out=term)
+        np.multiply(term, d, out=term)
+        out += term
     return out
 
 
@@ -86,7 +94,9 @@ def verify_reversal(m: SignReversalMap, target, tol=1e-9) -> ReversalCheck:
     trace = np.trace(target)
     if abs(trace) > TAU_RTOL * scale:
         raise ValueError(f"target is not traceless (trace {trace:.3e})")
-    residual = float(np.linalg.norm(apply_reversal(m, target) + target))
+    out = apply_reversal(m, target)
+    out += target
+    residual = float(np.linalg.norm(out))
     return ReversalCheck(bool(residual <= tol * scale), residual)
 
 
@@ -96,7 +106,9 @@ def reversal_from_coloring(g: Graph, coloring: Coloring) -> SignReversalMap:
     Terms are powers D^j (j = 1..q-1) of D = diag(omega^{c_k}) with omega
     a primitive q-th root of unity; works for every weight matrix because
     the conjugation sum vanishes entrywise on non-edges and cancels on
-    edges by root-of-unity orthogonality.
+    edges by root-of-unity orthogonality. Term j's phase at vertex k is
+    taken from its exact angle, exp(2 pi i ((c_k j) mod q) / q), so it has
+    modulus 1 to rounding at every q.
     """
     if len(coloring.colors) != g.n:
         raise ValueError(f"coloring length {len(coloring.colors)} != n = {g.n}")
@@ -107,9 +119,10 @@ def reversal_from_coloring(g: Graph, coloring: Coloring) -> SignReversalMap:
         if g.num_edges:
             raise ValueError("graphs with edges need at least 2 colors")
         raise ValueError("sign reversal from a 1-coloring is empty")
-    omega = np.exp(2j * np.pi / q)
-    d, identity = omega ** np.asarray(coloring.colors), np.arange(g.n)
-    return SignReversalMap(g.n, tuple((1.0, identity, d**j) for j in range(1, q)))
+    colors, identity = np.asarray(coloring.colors), np.arange(g.n)
+    return SignReversalMap(
+        g.n, tuple((1.0, identity, np.exp(2j * np.pi * (colors * j % q) / q)) for j in range(1, q))
+    )
 
 
 def weyl_heisenberg_family(n) -> List[Tuple[np.ndarray, np.ndarray]]:

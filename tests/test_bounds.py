@@ -29,6 +29,20 @@ from chromabound.graphs import Graph, adjacency_matrix, complete, cycle, peterse
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
 
+def _count_solves(monkeypatch):
+    """Patch linalg.eigensolve to record the shape of every solve, under "eigvalsh" for
+    eigenvalues alone and "eigh" for eigenvalues and eigenvectors."""
+    solves = {"eigvalsh": [], "eigh": []}
+    inner = linalg.eigensolve
+
+    def counted(m, vectors=False):
+        solves["eigh" if vectors else "eigvalsh"].append(m.shape)
+        return inner(m, vectors)
+
+    monkeypatch.setattr(linalg, "eigensolve", counted)
+    return solves
+
+
 class TestHoffman:
     def test_k3(self):
         assert hoffman_bound(complete(3)) == pytest.approx(3.0, abs=1e-8)
@@ -200,14 +214,7 @@ class TestOptimizeWeight:
     def test_incumbent_reuses_restart_zero_start(self, monkeypatch):
         """The all-ones incumbent is restart 0's start, and the winner's tau is its score: one
         eigvalsh in all."""
-        calls = []
-        inner = np.linalg.eigvalsh
-
-        def counted(m):
-            calls.append(m.shape)
-            return inner(m)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        calls = _count_solves(monkeypatch)["eigvalsh"]
         baseline = tau_bound(petersen(), ones_weight(10)) - 1.0
         calls.clear()
         _w, tau = optimize_weight(petersen(), restarts=1, iterations=1)
@@ -236,48 +243,33 @@ class TestOnesTightSkip:
     all-ones (tau_W + 1 <= chi <= q), so optimize_weight returns it without an ascent."""
 
     @pytest.fixture
-    def eigh_calls(self, monkeypatch):
-        calls = []
-        inner = np.linalg.eigh
-
-        def counted(m):
-            calls.append(m.shape)
-            return inner(m)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        return calls
+    def solves(self, monkeypatch):
+        return _count_solves(monkeypatch)
 
     @pytest.mark.parametrize("allow_complex", [False, True])
     @pytest.mark.parametrize("name", sorted(ONES_TIGHT))
-    def test_fires_on_tight_graphs(self, name, allow_complex, eigh_calls, monkeypatch):
+    def test_fires_on_tight_graphs(self, name, allow_complex, solves):
         g = ONES_TIGHT[name]
         baseline = tau_bound(g, ones_weight(g.n)) - 1.0
-        eigvalsh_calls = []
-        inner = np.linalg.eigvalsh
-
-        def counted(m):
-            eigvalsh_calls.append(m.shape)
-            return inner(m)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        solves["eigvalsh"].clear()
         w, tau = optimize_weight(g, restarts=2, iterations=60, seed=7, allow_complex=allow_complex)
-        assert eigh_calls == []
-        assert eigvalsh_calls == [(g.n, g.n)]  # the all-ones start, whose tau is returned
+        assert solves["eigh"] == []
+        assert solves["eigvalsh"] == [(g.n, g.n)]  # the all-ones start, whose tau is returned
         assert w.origin.startswith("ones")
         assert tau == pytest.approx(baseline, abs=1e-12)
         z = w.matrix[bounds._edge_index(g)]
         assert z == pytest.approx(np.full(g.num_edges, 1.0 / math.sqrt(2 * g.num_edges)), rel=1e-15)
 
     @pytest.mark.parametrize("allow_complex", [False, True])
-    def test_greedy_never_runs_where_ones_is_not_integral(self, corpus, allow_complex, eigh_calls, monkeypatch):
+    def test_greedy_never_runs_where_ones_is_not_integral(self, corpus, allow_complex, solves, monkeypatch):
         greedy_calls = []
         monkeypatch.setattr(bounds, "greedy_dsatur", lambda g: greedy_calls.append(g))
         graphs = dict(corpus)
         for name in ["C5", "petersen"] + [name for name in graphs if name.startswith("gnp")]:
-            eigh_calls.clear()
+            solves["eigh"].clear()
             w, _tau = optimize_weight(graphs[name], restarts=2, iterations=60, seed=7, allow_complex=allow_complex)
             assert w.origin.startswith("optimized"), name
-            assert eigh_calls, name
+            assert solves["eigh"], name
         assert greedy_calls == []
 
     def test_integral_ones_needs_a_matching_coloring(self):
@@ -552,8 +544,13 @@ class TestReport:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(np.linalg, "eigvalsh")
-        counted(np.linalg, "eigh")
+        solve = linalg.eigensolve
+
+        def counted_solve(m, vectors=False):
+            calls["eigh" if vectors else "eigvalsh"] += 1
+            return solve(m, vectors)
+
+        monkeypatch.setattr(linalg, "eigensolve", counted_solve)
         counted(graphs, "adjacency_matrix")
         counted(bounds, "is_connected")
         return calls

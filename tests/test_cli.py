@@ -232,6 +232,19 @@ class TestOversized:
         assert main(argv) == EXIT_INPUT
         assert f"{entries} entries, above the limit of {2048**2}" in capsys.readouterr().err
 
+    def test_reverse_term_limit(self, tmp_path, capsys):
+        """A huge label on K2 makes 10^6 terms of 4 entries each: refused before any is built.
+        At the limit of 2048 terms the map runs and verifies."""
+        path, labels = tmp_path / "k2.col", tmp_path / "colors.txt"
+        path.write_text(emit_dimacs(complete(2)))
+        labels.write_text("0 1000000")
+        assert main(["reverse", str(path), "--colors", str(labels)]) == EXIT_INPUT
+        assert "1000000 unitaries exceeds the limit of 2048 terms" in capsys.readouterr().err
+        labels.write_text("0 2048")
+        assert main(["reverse", str(path), "--colors", str(labels), "--format", "json"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["costTarget"] == 2048 and doc["ok"]
+
 
 class TestChi:
     def test_petersen(self, petersen_col, capsys):

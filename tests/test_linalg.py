@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,36 @@ class TestSpectrum:
                 linalg.spectrum(m)
             with pytest.raises(ValueError, match="not Hermitian"):
                 linalg.eigh(m)
+
+
+class TestEigensolve:
+    """The one solver entry: numpy.linalg's gufuncs without their Python wrapper."""
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 10, 23, 47])
+    def test_bit_identical_to_numpy(self, n, complex_entries):
+        h = linalg.random_hermitian(n, 100 + n, complex_entries)
+        w = linalg.eigensolve(h)
+        assert w.dtype == np.float64 and np.array_equal(w, np.linalg.eigvalsh(h))
+        w, v = linalg.eigensolve(h, vectors=True)
+        w_ref, v_ref = np.linalg.eigh(h)
+        assert w.dtype == np.float64 and np.array_equal(w, w_ref)
+        assert v.dtype == h.dtype and np.array_equal(v, v_ref)
+
+    @pytest.mark.parametrize("vectors", [False, True], ids=["eigvalsh", "eigh"])
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_nonconvergence_raises_linalgerror(self, vectors, action):
+        """A NaN entry makes LAPACK fail: the gufunc returns NaN and raises the invalid flag,
+        which the "error" filter (the test suite's own) turns into a RuntimeWarning."""
+        m = np.eye(4)
+        m[1, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                linalg.eigensolve(m, vectors)
+
+    def test_empty(self):
+        assert linalg.eigensolve(np.zeros((0, 0))).shape == (0,)
 
 
 class TestKyFan:

@@ -160,6 +160,18 @@ class TestColoringMap:
             check = verify_reversal(rmap, target, tol=1e-9)
             assert check.ok, check.residual
 
+    def test_phases_exact_at_large_q(self):
+        """Term j's phase at vertex k is exp(2 pi i ((c_k j) mod q) / q) at every q; the
+        powers (omega^c)^j drift off |d| = 1 and fail the unitary check at this q."""
+        g, q = complete(2), 2049
+        rmap = reversal_from_coloring(g, Coloring((0, q - 1), q))
+        assert len(rmap.terms) == q - 1
+        for j, (_r, _perm, d) in enumerate(rmap.terms, start=1):
+            assert d[0] == 1.0
+            assert d[1] == pytest.approx(np.exp(2j * np.pi * ((q - 1) * j % q) / q), abs=1e-14)
+            assert np.abs(np.abs(d) - 1.0).max() <= 4 * np.finfo(float).eps
+        assert verify_reversal(rmap, weighted_adjacency(g, ones_weight(2))).ok
+
     def test_improper_coloring_rejected(self):
         with pytest.raises(ValueError, match="not proper"):
             reversal_from_coloring(complete(3), Coloring((0, 0, 1), 2))

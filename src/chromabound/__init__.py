@@ -27,7 +27,7 @@ from .graphs import (
     is_proper,
     parse_dimacs,
 )
-from .linalg import eigh, hadamard_product, min_eigenvalue, spectrum
+from .linalg import eigh, spectrum
 from .majorization import MajorizationReport, majorizes, minimal_tau, sort_descending
 from .reversal import (
     SignReversalMap,
@@ -65,12 +65,10 @@ __all__ = [
     "generate",
     "greedy_dsatur",
     "group_sign_reversal",
-    "hadamard_product",
     "hoffman_bound",
     "is_connected",
     "is_proper",
     "majorizes",
-    "min_eigenvalue",
     "minimal_tau",
     "ones_weight",
     "optimize_weight",

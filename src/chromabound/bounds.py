@@ -4,8 +4,9 @@ Every lower bound reads the spectrum of a Hadamard-weighted adjacency
 matrix M = W * A. Hoffman and tau-ones use the all-ones W, Barnes uses
 W = D^{-1/2} 1 D^{-1/2} with D = |lambda_n| I, and tau_W + 1 takes any
 Hermitian W. Every M is built by `_EdgeMatrices` from its values on the
-edge list, and `_EdgeMatrices.evaluate`, which scales it to ||M||_F = 1,
-solves it through `linalg.eigensolve`, the package's one eigensolver. A
+graph's edge arrays (us, vs), in their order, and `_EdgeMatrices.evaluate`,
+which scales it to ||M||_F = 1, solves it through `linalg.eigensolve`, the
+package's one eigensolver. A
 report evaluates the all-ones edge vector once (`_ones_start`) and takes
 its tau once, and that spectrum feeds Wilf, Hoffman, Barnes, tau-ones and
 the weight search: M = A / sqrt(2m), so spec(A) is spec(M) * sqrt(2m),
@@ -74,12 +75,6 @@ def barnes_weight(d) -> WeightMatrix:
     return WeightMatrix(np.outer(inv_root, inv_root), "barnes")
 
 
-def _edge_index(g: Graph):
-    """Endpoint arrays (us < vs) in sorted(g.edges) order, the certificate order."""
-    us, vs = np.array(sorted(g.edges), dtype=np.intp).reshape(-1, 2).T
-    return us, vs
-
-
 class _EdgeMatrices:
     """Edge values z -> Hermitian M: z_e at (u_e, v_e), conj(z_e) at (v_e, u_e), zero elsewhere.
 
@@ -122,7 +117,7 @@ def _edge_values(g: Graph, w: WeightMatrix):
     """The edge matrices of g and W's values on its edges, real if W is real there."""
     if w.matrix.shape != (g.n, g.n):
         raise ValueError(f"weight shape {w.matrix.shape} != ({g.n}, {g.n})")
-    edges = _EdgeMatrices(g.n, _edge_index(g))
+    edges = _EdgeMatrices(g.n, (g.us, g.vs))
     z = w.matrix[edges.index]
     if not np.any(z.imag):
         z = z.real
@@ -145,7 +140,7 @@ def _ones_start(g: Graph):
     """
     if g.num_edges == 0:
         raise DegenerateGraphError("graph has no edges")
-    edges = _EdgeMatrices(g.n, _edge_index(g))
+    edges = _EdgeMatrices(g.n, (g.us, g.vs))
     return edges, edges.evaluate(np.ones(g.num_edges))
 
 
@@ -439,10 +434,9 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
                 g, edges, start, tau_ones, config.restarts, config.iterations, config.seed, config.allow_complex
             )
             report.tau_optimized = tau + 1.0
-            us, vs = edges.index
             report.certificates["optimizedWeight"] = [
                 [u, v, fmt12(re), fmt12(im)]
-                for u, v, re, im in zip(us.tolist(), vs.tolist(), z.real, z.imag)
+                for u, v, re, im in zip(g.us.tolist(), g.vs.tolist(), z.real, z.imag)
             ]
     if "exact" in methods:
         if g.n <= config.exact_limit:

@@ -15,6 +15,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import bounds, exact, graphs, linalg, reversal
 
 EXIT_OK = 0
@@ -124,13 +126,16 @@ def _coloring_for(g, spec_str, budget):
         raise CliError(f"cannot read coloring file {spec_str}: {exc}")
     if len(colors) != g.n:
         raise CliError(f"coloring file has {len(colors)} entries, graph has {g.n} vertices")
-    if not graphs.is_proper(g, colors):
-        violating = next((u, v) for u, v in sorted(g.edges) if colors[u] == colors[v])
-        raise CliError(
-            f"coloring is improper: edge {violating[0]}-{violating[1]} is monochromatic",
-            EXIT_IMPROPER,
-        )
-    return graphs.Coloring(tuple(colors), max(colors) + 1)
+    labels = np.asarray(colors)
+    clash = np.flatnonzero(labels[g.us] == labels[g.vs])
+    if len(clash):
+        u, v = g.us[clash[0]], g.vs[clash[0]]
+        raise CliError(f"coloring is improper: edge {u}-{v} is monochromatic", EXIT_IMPROPER)
+    if min(colors) < 0:  # Coloring's own check names the label
+        graphs.Coloring(colors, max(colors) + 1)
+    # labels compact to 0..q-1 in label order, so a map has q - 1 <= n - 1 terms
+    rank = {c: k for k, c in enumerate(sorted(set(colors)))}
+    return graphs.Coloring(tuple(rank[c] for c in colors), len(rank))
 
 
 def cmd_reverse(args) -> int:
@@ -144,11 +149,6 @@ def cmd_reverse(args) -> int:
         raise CliError(
             f"applying a map of {terms} unitaries to a {g.n}x{g.n} target "
             f"touches {entries} entries, above the limit of {graphs.MAX_VERTICES**2}"
-        )
-    if terms > graphs.MAX_VERTICES:
-        raise CliError(
-            f"a map of {terms} unitaries exceeds the limit of {graphs.MAX_VERTICES} terms; "
-            f"a proper coloring of {g.n} vertices needs at most {g.n} colors"
         )
     if args.weight == "ones":
         m = graphs.adjacency_matrix(g)  # M = W * A = A for the all-ones W

@@ -59,15 +59,6 @@ def hermitize(m):
     return (m + mh) / 2.0
 
 
-def hadamard_product(x, y):
-    """Entrywise product; Hermitian whenever one factor is real symmetric."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return x * y
-
-
 def eigensolve(m, vectors=False):
     """Eigenvalues of a Hermitian m in ascending order, and with vectors=True the pair
     (eigenvalues, eigenvectors as columns); only the lower triangle of m is read.
@@ -103,10 +94,6 @@ def eigh(m):
 def spectrum(m) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted non-increasing."""
     return eigensolve(hermitize(m))[::-1]
-
-
-def min_eigenvalue(m) -> float:
-    return float(spectrum(m)[-1])
 
 
 def eigen_residuals(m, w, v):

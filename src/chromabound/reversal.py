@@ -62,13 +62,14 @@ def reversal_cost(m: SignReversalMap) -> float:
 def apply_reversal(m: SignReversalMap, target) -> np.ndarray:
     """Sum of r_j U_j^H target U_j over the map's terms.
 
-    Each term is formed in one reused n x n buffer and added into the result; a term
-    with the identity permutation reads the target without gathering it.
+    Each term is formed in one reused complex n x n buffer and added into the complex
+    result; a real target is read as it is, and a term with the identity permutation reads
+    it without gathering it.
     """
-    target = np.asarray(target, dtype=complex)
+    target = np.asarray(target)
     if target.shape != (m.n, m.n):
         raise ValueError(f"target shape {target.shape} != ({m.n}, {m.n})")
-    out, term = np.zeros_like(target), np.empty_like(target)
+    out, term = np.zeros(target.shape, dtype=complex), np.empty(target.shape, dtype=complex)
     identity = np.arange(m.n)
     for r, perm, d in m.terms:
         moved = target if np.array_equal(perm, identity) else target[np.ix_(perm, perm)]
@@ -89,7 +90,7 @@ def verify_reversal(m: SignReversalMap, target, tol=1e-9) -> ReversalCheck:
 
     The target must be traceless: |tr T| <= TAU_RTOL * ||T||_F.
     """
-    target = np.asarray(target, dtype=complex)
+    target = np.asarray(target)
     scale = np.linalg.norm(target)
     trace = np.trace(target)
     if abs(trace) > TAU_RTOL * scale:

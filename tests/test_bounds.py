@@ -257,7 +257,7 @@ class TestOnesTightSkip:
         assert solves["eigvalsh"] == [(g.n, g.n)]  # the all-ones start, whose tau is returned
         assert w.origin.startswith("ones")
         assert tau == pytest.approx(baseline, abs=1e-12)
-        z = w.matrix[bounds._edge_index(g)]
+        z = w.matrix[g.us, g.vs]
         assert z == pytest.approx(np.full(g.num_edges, 1.0 / math.sqrt(2 * g.num_edges)), rel=1e-15)
 
     @pytest.mark.parametrize("allow_complex", [False, True])
@@ -310,7 +310,7 @@ def test_skip_fires_only_where_chi_is_q(g):
 
 def _ratio_at(g, z, mu):
     """The smoothed ratio at edge values z, and its gradient as the ascent computes it."""
-    edges = bounds._EdgeMatrices(g.n, bounds._edge_index(g))
+    edges = bounds._EdgeMatrices(g.n, (g.us, g.vs))
     lam, v = np.linalg.eigh(edges.matrix(z))
     ratio, terms = bounds._smoothed_ratio(lam, mu)
     return ratio, bounds._edge_gradient(v, bounds._ratio_derivatives(ratio, terms), edges.upper)
@@ -412,7 +412,7 @@ class TestAscentMatchesReference:
         for name, g in corpus:
             if g.num_edges == 0 or optimize_weight(g, 1, 1)[0].origin.startswith("ones"):
                 continue  # the ascent never runs
-            index = bounds._edge_index(g)
+            index = g.us, g.vs
             edges = bounds._EdgeMatrices(g.n, index)
             for z0 in _restart_starts(g, 2, 7, allow_complex):
                 start, start_ref = edges.evaluate(z0), _evaluate_ref(g.n, index, z0)
@@ -468,7 +468,7 @@ class TestBarnes:
             value, d = barnes_bound(g)
             assert value == pytest.approx(hoffman_bound(g), abs=1e-8)
             assert np.all(d > 0)
-            assert linalg.min_eigenvalue(adjacency_matrix(g) + np.diag(d)) >= -1e-8
+            assert linalg.spectrum(adjacency_matrix(g) + np.diag(d))[-1] >= -1e-8
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
@@ -602,7 +602,7 @@ class TestReport:
                 continue
             report = chromatic_lower_bound(g, config, name)
             w, tau = optimize_weight(g, **kwargs)
-            z = w.matrix[bounds._edge_index(g)]
+            z = w.matrix[g.us, g.vs]
             entries = report.certificates["optimizedWeight"]
             assert [re for _u, _v, re, _im in entries] == z.real.tolist(), name
             assert [im for _u, _v, _re, im in entries] == z.imag.tolist(), name

@@ -218,11 +218,15 @@ class TestOversized:
 
     @pytest.mark.parametrize(
         "n, labels, entries",
-        [(200, None, 199 * 200 * 200), (3, "0 1 1000000000", 10**9 * 3 * 3)],
+        [
+            (200, None, 199 * 200 * 200),
+            (200, " ".join(str(10**9 * c) for c in range(200)), 199 * 200 * 200),
+        ],
         ids=["k200", "huge-label"],
     )
     def test_reverse_map_rejected(self, tmp_path, n, labels, entries, capsys):
-        """(q - 1) n^2 unitary entries above 2048^2 are refused before any is built."""
+        """(q - 1) n^2 unitary entries above 2048^2 are refused before any is built. A coloring
+        file's labels count by how many there are, not by their size."""
         path = tmp_path / "g.col"
         path.write_text(emit_dimacs(complete(n)))
         argv = ["reverse", str(path)]
@@ -233,17 +237,18 @@ class TestOversized:
         assert f"{entries} entries, above the limit of {2048**2}" in capsys.readouterr().err
 
     def test_reverse_term_limit(self, tmp_path, capsys):
-        """A huge label on K2 makes 10^6 terms of 4 entries each: refused before any is built.
-        At the limit of 2048 terms the map runs and verifies."""
+        """Coloring-file labels compact to 0..q-1 in label order, so a huge label on K2 still
+        makes a 2-coloring: one term, which runs and verifies. A negative label still exits 2."""
         path, labels = tmp_path / "k2.col", tmp_path / "colors.txt"
         path.write_text(emit_dimacs(complete(2)))
-        labels.write_text("0 1000000")
+        for text in ("0 1000000", "0 2048", "2048 0"):
+            labels.write_text(text)
+            assert main(["reverse", str(path), "--colors", str(labels), "--format", "json"]) == EXIT_OK
+            doc = json.loads(capsys.readouterr().out)
+            assert (doc["numColors"], doc["costTarget"], doc["ok"]) == (2, 1, True)
+        labels.write_text("-1 0")
         assert main(["reverse", str(path), "--colors", str(labels)]) == EXIT_INPUT
-        assert "1000000 unitaries exceeds the limit of 2048 terms" in capsys.readouterr().err
-        labels.write_text("0 2048")
-        assert main(["reverse", str(path), "--colors", str(labels), "--format", "json"]) == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["costTarget"] == 2048 and doc["ok"]
+        assert "color -1 outside [0, 1)" in capsys.readouterr().err
 
 
 class TestChi:

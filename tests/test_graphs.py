@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromabound.graphs import (
     DimacsError,
@@ -31,10 +33,19 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match="out of range"):
             Graph(3, frozenset({(0, 3)}))
 
+    def test_edge_arrays_are_read_only(self):
+        g = cycle(5)
+        assert g.us.dtype == g.vs.dtype == np.intp
+        for arr in (g.us, g.vs):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        assert g == cycle(5)
+
     def test_edges_normalized(self):
         g = Graph(3, frozenset({(2, 0)}))
-        assert g.has_edge(0, 2)
-        assert g.has_edge(2, 0)
+        assert g.edges == {(0, 2)}
+        assert (g.us.tolist(), g.vs.tolist()) == ([0], [2])
+        assert g == Graph(3, [(0, 2), (2, 0)])
         assert g.num_edges == 1
 
 
@@ -85,7 +96,7 @@ class TestGenerators:
     def test_cycle_is_2_regular(self):
         g = cycle(5)
         assert g.num_edges == 5
-        assert all(g.degree(v) == 2 for v in range(5))
+        assert all(len(nbrs) == 2 for nbrs in g.adjacency_lists())
 
     def test_cycle_needs_three(self):
         with pytest.raises(ValueError):
@@ -93,14 +104,13 @@ class TestGenerators:
 
     def test_star(self):
         g = star(6)
-        assert g.degree(0) == 5
-        assert all(g.degree(v) == 1 for v in range(1, 6))
+        assert g.adjacency_lists() == [[1, 2, 3, 4, 5]] + [[0]] * 5
 
     def test_petersen_is_kneser_5_2(self):
         g = petersen()
         assert g.n == 10
         assert g.num_edges == 15
-        assert all(g.degree(v) == 3 for v in range(10))
+        assert all(len(nbrs) == 3 for nbrs in g.adjacency_lists())
 
     def test_kneser_params(self):
         with pytest.raises(ValueError):
@@ -197,3 +207,52 @@ class TestQueries:
         second = default_corpus()
         assert [n for n, _ in first] == [n for n, _ in second]
         assert all(a.edges == b.edges for (_, a), (_, b) in zip(first, second))
+
+
+@st.composite
+def pair_lists(draw):
+    """(n, pairs, colors): n <= 12, vertex pairs in either orientation with repeats (possibly
+    none), and a color vector with at most 4 colors."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, max_size=30)) if n > 1 else []
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    colors = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return n, pairs + [(v, u) for u, v in repeats], colors
+
+
+def _reachable_from_0(edges):
+    seen, stack = {0}, [0]
+    while stack:
+        x = stack.pop()
+        for u, v in edges:
+            for a, b in ((u, v), (v, u)):
+                if a == x and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+    return len(seen)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pair_lists())
+def test_edge_arrays_match_a_set_of_normalized_pairs(case):
+    """Every query read from the edge arrays agrees with the same query on a frozenset of
+    (min, max) tuples, and the arrays list that set in sorted order."""
+    n, pairs, colors = case
+    g = Graph(n, pairs)
+    ref = frozenset((min(p), max(p)) for p in pairs)
+    assert list(zip(g.us.tolist(), g.vs.tolist())) == sorted(ref)
+    assert g.edges == ref and g.num_edges == len(ref)
+    assert g == Graph(n, frozenset(pairs)) == Graph(n, iter(pairs))
+    assert g == Graph(n, np.array(pairs, dtype=int).reshape(-1, 2))
+    nbrs = [sorted({b for u, v in ref for a, b in ((u, v), (v, u)) if a == x}) for x in range(n)]
+    assert g.adjacency_lists() == nbrs
+    a = np.zeros((n, n))
+    for u, v in ref:
+        a[u, v] = a[v, u] = 1.0
+    assert np.array_equal(adjacency_matrix(g), a)
+    assert is_proper(g, colors) == all(colors[u] != colors[v] for u, v in ref)
+    assert is_connected(g) == (_reachable_from_0(ref) == n)
+    lines = ["c note", f"p edge {n} {len(ref)}"] + [f"e {u + 1} {v + 1}" for u, v in sorted(ref)]
+    assert emit_dimacs(g, comment="note") == "\n".join(lines) + "\n"

@@ -11,25 +11,6 @@ from chromabound.graphs import adjacency_matrix, complete, cycle, petersen
 from chromabound.majorization import majorizes
 
 
-class TestHadamard:
-    def test_ones_is_identity_on_a(self):
-        a = adjacency_matrix(petersen())
-        assert np.array_equal(linalg.hadamard_product(np.ones((10, 10)), a), a)
-
-    def test_zero_annihilates(self):
-        a = adjacency_matrix(complete(4))
-        assert not linalg.hadamard_product(np.zeros((4, 4)), a).any()
-
-    def test_weighted_k2(self):
-        w = np.array([[0.0, 2.0], [2.0, 0.0]])
-        a = adjacency_matrix(complete(2))
-        assert np.array_equal(linalg.hadamard_product(w, a), [[0, 2], [2, 0]])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            linalg.hadamard_product(np.ones((2, 2)), np.ones((3, 3)))
-
-
 class TestSpectrum:
     def test_k3(self):
         # closed form: A(K3) = J - I on 3 vertices, spectrum (2, -1, -1)
@@ -49,9 +30,9 @@ class TestSpectrum:
         assert got == pytest.approx([3] + [1] * 5 + [-2] * 4, abs=1e-9)
 
     def test_min_eigenvalue(self):
-        assert linalg.min_eigenvalue(adjacency_matrix(complete(2))) == pytest.approx(-1, abs=1e-12)
-        assert linalg.min_eigenvalue(np.eye(3)) == pytest.approx(1, abs=1e-12)
-        assert linalg.min_eigenvalue(np.zeros((3, 3))) == 0.0
+        assert linalg.spectrum(adjacency_matrix(complete(2)))[-1] == pytest.approx(-1, abs=1e-12)
+        assert linalg.spectrum(np.eye(3))[-1] == pytest.approx(1, abs=1e-12)
+        assert linalg.spectrum(np.zeros((3, 3)))[-1] == 0.0
 
     def test_sorted_nonincreasing(self):
         w = linalg.spectrum(linalg.random_hermitian(12, 3))

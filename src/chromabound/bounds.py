@@ -18,15 +18,24 @@ regresses below the Hoffman-style baseline, and it returns the edge
 values and the tau it scored.
 Each ascent step writes its candidate's edge values into one reused n x n
 buffer per dtype, solves it without numpy.linalg's wrapper, and forms the
-smoothed ratio's derivatives, in place, only for a candidate it accepts.
+smoothed ratio's derivatives, in place, only for a candidate it accepts;
+each restart allocates its smoothing and gradient buffers once.
+The smoothed ratio is not 0-homogeneous, because mu is absolute, so its
+gradient has a radial part, which the renormalization of every step
+discards. Where the first gradient of a restart is radial to rounding, as
+at the all-ones start of an edge-transitive graph, every step would land
+back on the start, so the restart returns it.
 The search is skipped where the all-ones tau + 1 already equals the color
 count of greedy DSATUR: tau_W + 1 <= chi <= that count for every W, so no
 weighting can do better (this covers K_n and every bipartite graph with
-an edge).
+an edge). A report builds the adjacency lists and greedy DSATUR at most
+once, and the connectivity test, the skip test and the exact oracle share
+them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -207,21 +216,34 @@ STEP, MIN_STEP = 0.1, 1e-4  # step along the sphere ||M||_F = 1; a smaller one e
 MU, MIN_MU = 0.05, 0.02  # log-sum-exp width of the smoothing, and its floor
 
 
-def _smoothed_ratio(lam, mu):
-    """lambda_1 / -lambda_n of an ascending spectrum, both smoothed by log-sum-exp of
-    width mu, and the terms `_ratio_derivatives` forms its derivatives from.
+# A restart whose first gradient has a tangent part below STATIONARY_RTOL * |grad| returns
+# its start. At the all-ones start of C5, C7, C9, C11, Petersen and mycielski1 that part is
+# rounding, at most 7e-13 of |grad|; at every other corpus start, all-ones or random, it is
+# at least 0.47. 1e-8 is four decades above the one and seven below the other.
+STATIONARY_RTOL = 1e-8
 
-    The weights exp((lam - lambda_1) / mu) and exp((lambda_n - lam) / mu) share one buffer
-    of length 2n and one exp."""
-    n = len(lam)
-    lo, hi = float(lam[0]), float(lam[-1])
-    w = np.empty(2 * n)
-    top_w, bot_w = w[:n], w[n:]
-    np.subtract(lam, hi, out=top_w)
-    np.subtract(lo, lam, out=bot_w)
-    np.divide(w, mu, out=w)
-    np.exp(w, out=w)
-    top_s, bot_s = np.add.reduce(top_w), np.add.reduce(bot_w)
+
+def _smoothing_buffer(n):
+    """The buffer `_smoothed_ratio` writes its weights into, for spectra of length n: a 2 x n
+    array and its two rows."""
+    w = np.empty((2, n))
+    return w, w[0], w[1]
+
+
+def _smoothed_ratio(lam, lo, hi, mu, buf):
+    """lambda_1 / -lambda_n of an ascending spectrum with extremes lo = lam[0] and
+    hi = lam[-1], both smoothed by log-sum-exp of width mu, and the terms
+    `_ratio_derivatives` forms its derivatives from.
+
+    The weights exp((lam - lambda_1) / mu) and exp((lambda_n - lam) / mu) are the rows of
+    the `_smoothing_buffer` buf and share one exp and one sum; the terms hold those rows,
+    valid until the buffer's next use."""
+    w, top_w, bot_w = buf
+    np.subtract(lam, hi, top_w)
+    np.subtract(lo, lam, bot_w)
+    np.divide(w, mu, w)
+    np.exp(w, w)
+    top_s, bot_s = np.add.reduce(w, 1).tolist()
     top = hi + mu * math.log(top_s)
     bot = lo - mu * math.log(bot_s)
     ratio = top / -bot
@@ -239,12 +261,25 @@ def _ratio_derivatives(ratio, terms):
     return np.divide(top_w, -bot, out=top_w)
 
 
-def _edge_gradient(v, c, upper):
+def _edge_gradient(v, c, upper, vc, prod):
     """sum_k c_k dlambda_k / dz_uv = 2 sum_k c_k v_k[u] conj(v_k[v]) (Lewis & Overton 1996),
     read at the flat positions upper = u*n + v; its real and imaginary parts are the
-    derivatives along Re z_uv and Im z_uv."""
+    derivatives along Re z_uv and Im z_uv. v * c and its product with v^H are formed in the
+    n x n buffers vc and prod."""
     vh = v.conj().T if v.dtype.kind == "c" else v.T
-    return 2.0 * ((v * c) @ vh).take(upper)
+    np.multiply(v, c, out=vc)
+    np.matmul(vc, vh, out=prod)
+    return 2.0 * prod.take(upper)
+
+
+def _tangent_norm(grad, z):
+    """The norm of grad's part orthogonal to z in the real inner product Re <grad, z>: the
+    part a step keeps after renormalization."""
+    if z.dtype.kind == "c":
+        dot = grad.real.dot(z.real) + grad.imag.dot(z.imag)
+    else:
+        dot = grad.dot(z)
+    return _norm(grad - (dot / _norm(z) ** 2) * z)
 
 
 def _ascend(edges, start, budget):
@@ -253,31 +288,40 @@ def _ascend(edges, start, budget):
 
     Returns the last accepted z and its spectrum. Every candidate's M is written into the
     one buffer of `edges` for its dtype and judged on eigenvalues; only an accepted one
-    pays for the derivatives c_k and the eigenvectors of its gradient, which is tangent to
-    the sphere ||M||_F = 1 (the ratio is 0-homogeneous). Success (the start is one) grows
-    the step 1.5-fold, failure halves the step and mu, and a zero gradient or a step below
-    MIN_STEP stops early.
+    pays for the derivatives c_k and the eigenvectors of its gradient, and only if a step
+    can still follow it. The smoothed ratio is not 0-homogeneous (mu is absolute), so the
+    gradient has a part along z, which the renormalization of the next candidate
+    discards. If the first gradient is along z, to rounding (STATIONARY_RTOL), the start is
+    stationary on the sphere ||M||_F = 1 and every step would renormalize back to it, so
+    the restart returns the start. Success (the start is one) grows the step 1.5-fold,
+    failure halves the step and mu, and a step below MIN_STEP stops early. The smoothing
+    weights and the gradient's n x n products live in buffers allocated once per call.
     """
     step, mu, ratio = STEP, MU, -math.inf
     cand, m, cand_lam = start
+    buf = _smoothing_buffer(len(cand_lam))
+    vc, prod = np.empty((2,) + m.shape, m.dtype)  # eigh returns vectors of m's dtype, C-ordered
     solves = 1
     while True:
-        cand_ratio, terms = _smoothed_ratio(cand_lam, mu)
+        cand_ends = float(cand_lam[0]), float(cand_lam[-1])
+        cand_ratio, terms = _smoothed_ratio(cand_lam, *cand_ends, mu, buf)
         if cand_ratio > ratio:
-            z, lam, ratio = cand, cand_lam, cand_ratio
-            if solves == budget:
+            z, lam, ends, ratio = cand, cand_lam, cand_ends, cand_ratio
+            if solves >= budget - 1:  # no candidate could follow a gradient solved now
                 break
             c = _ratio_derivatives(ratio, terms)
-            grad = _edge_gradient(linalg.eigensolve(m, vectors=True)[1], c, edges.upper)
+            grad = _edge_gradient(linalg.eigensolve(m, vectors=True)[1], c, edges.upper, vc, prod)
             solves += 1
             norm = _norm(grad)
+            if solves == 2 and _tangent_norm(grad, z) <= STATIONARY_RTOL * norm:
+                break  # the first gradient: the start is stationary
             step *= 1.5
         else:
             step /= 2.0
             if mu > MIN_MU:  # at the floor the smoothed ratio of lam stays as it is
                 mu = max(mu / 2.0, MIN_MU)
-                ratio = _smoothed_ratio(lam, mu)[0]
-        if solves >= budget or step < MIN_STEP or norm == 0.0:
+                ratio = _smoothed_ratio(lam, *ends, mu, buf)[0]
+        if solves >= budget or step < MIN_STEP:
             break
         cand, m, cand_lam = edges.evaluate(z + (step / norm) * grad)
         solves += 1
@@ -315,17 +359,35 @@ def optimize_weight(
     """
     edges, start = _ones_start(g)
     z, tau, origin = _weight_search(
-        g, edges, start, minimal_tau(start[2]), restarts, iterations, seed, allow_complex
+        _Prerequisites(g), edges, start, minimal_tau(start[2]), restarts, iterations, seed, allow_complex
     )
     return WeightMatrix(edges.matrix(z), origin), tau
 
 
-def _weight_search(g, edges, start, start_tau, restarts, iterations, seed, allow_complex):
-    """`optimize_weight` from the all-ones triple `start` of `_ones_start` and its tau: the
-    winning edge values (||M||_F = 1), the tau they scored and the weighting's origin."""
+class _Prerequisites:
+    """A graph's adjacency lists and greedy DSATUR coloring, each built on first use and
+    kept for one report, so its connectivity test, skip test and exact oracle share them."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+
+    @functools.cached_property
+    def adj(self):
+        return self.g.adjacency_lists()
+
+    @functools.cached_property
+    def greedy(self):
+        return greedy_dsatur(self.g, self.adj)
+
+
+def _weight_search(pre, edges, start, start_tau, restarts, iterations, seed, allow_complex):
+    """`optimize_weight` on the graph of `_Prerequisites` pre from the all-ones triple
+    `start` of `_ones_start` and its tau: the winning edge values (||M||_F = 1), the tau
+    they scored and the weighting's origin."""
+    g = pre.g
     best_z, best_tau = start[0], start_tau
     q = _near_integer(best_tau + 1.0)
-    if q is not None and greedy_dsatur(g).num_colors <= q:
+    if q is not None and pre.greedy.num_colors <= q:
         return best_z, best_tau, f"ones(tau + 1 = greedy DSATUR colors = {q})"
     for r_idx in range(max(1, restarts)):
         if r_idx > 0:
@@ -406,6 +468,7 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
     config = config or BoundConfig()
     report = BoundReport(graph_id=graph_id, n=g.n, m=g.num_edges, seed=config.seed)
     methods = set(config.methods)
+    pre = _Prerequisites(g)
 
     if g.num_edges == 0:
         if "wilf" in methods:
@@ -424,23 +487,25 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
         if "tau-ones" in methods:
             report.tau_ones = tau_ones + 1.0
         if "barnes" in methods:
-            if is_connected(g):
+            if is_connected(g, pre.adj):
                 report.barnes = hoffman
                 report.certificates["barnesD"] = [fmt12(lam_n)] * g.n
             else:
                 report.notes.append("disconnected: Barnes bound skipped")
         if "tau-opt" in methods:
             z, tau, _origin = _weight_search(
-                g, edges, start, tau_ones, config.restarts, config.iterations, config.seed, config.allow_complex
+                pre, edges, start, tau_ones, config.restarts, config.iterations, config.seed, config.allow_complex
             )
             report.tau_optimized = tau + 1.0
-            report.certificates["optimizedWeight"] = [
-                [u, v, fmt12(re), fmt12(im)]
-                for u, v, re, im in zip(g.us.tolist(), g.vs.tolist(), z.real, z.imag)
-            ]
+            us, vs = g.us.tolist(), g.vs.tolist()
+            if z.dtype.kind == "c":
+                cert = [[u, v, fmt12(re), fmt12(im)] for u, v, re, im in zip(us, vs, z.real.tolist(), z.imag.tolist())]
+            else:  # fmt12(0.0) is 0.0
+                cert = [[u, v, fmt12(re), 0.0] for u, v, re in zip(us, vs, z.tolist())]
+            report.certificates["optimizedWeight"] = cert
     if "exact" in methods:
         if g.n <= config.exact_limit:
-            result = exact_chi(g)
+            result = exact_chi(g, adj=pre.adj, greedy=pre.greedy)
             if result.timed_out:
                 report.notes.append(
                     f"exact oracle timed out after {result.nodes_explored} nodes "

@@ -58,7 +58,22 @@ def _write_output(text, output):
 
 
 def _dump_json(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """doc as JSON text: an object puts one key per line and an array of objects one element
+    per line, each indented two spaces deeper than its container; any other array is one
+    line, written by json's C encoder, which the indent= option of json.dumps disables."""
+    return _json_text(doc, "\n") + "\n"
+
+
+def _json_text(value, newline):
+    """value as `_dump_json` lays it out, with newline (a newline and the indent of value's
+    own line) starting each line after the first."""
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+        return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in value) + newline + "]"
+    return json.dumps(value)
 
 
 def _report_text(doc) -> str:

@@ -163,15 +163,18 @@ def greedy_clique(g: Graph, adj=None) -> list:
     return clique
 
 
-def exact_chi(g: Graph, budget=DEFAULT_BUDGET) -> ColoringResult:
+def exact_chi(g: Graph, budget=DEFAULT_BUDGET, adj=None, greedy=None) -> ColoringResult:
     """Exact chromatic number unless the node budget runs out.
 
     Greedy DSATUR gives the first bound, and `_dsatur` runs again from the
     root below it, keeping its open nodes in per-depth lists. At most
-    `budget` nodes are explored.
+    `budget` nodes are explored. adj, if given, is g.adjacency_lists() and
+    greedy is greedy_dsatur(g), so a caller that already has them does not
+    build them again.
     """
-    adj = g.adjacency_lists()
-    seed = greedy_dsatur(g, adj)
+    if adj is None:
+        adj = g.adjacency_lists()
+    seed = greedy_dsatur(g, adj) if greedy is None else greedy
     best_colors = seed.colors
     best_k = seed.num_colors
     lower = max(1, len(greedy_clique(g, adj)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from itertools import combinations
@@ -42,17 +43,30 @@ class Graph:
     `us` < `vs`, one entry per edge, in ascending (u, v) order. Certificates,
     DIMACS output and every query read the edges in that order. `Graph(n,
     edges)` accepts any iterable of vertex pairs, in either orientation and
-    with repeats, and rejects self-loops and endpoints outside [0, n).
+    with repeats, and rejects self-loops, endpoints outside [0, n), and an n
+    or an endpoint that is not an integer (Python's, numpy's, or anything
+    with __index__): 1.5, 1.0 and "1" are refused, never truncated or parsed.
     `edges` is the same list as a frozenset of (u, v) tuples, built on
     first use; two graphs are equal when n and the arrays are.
     """
 
     def __init__(self, n, edges=()):
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"vertex count must be an integer, got {n!r}") from None
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
         if not isinstance(edges, (list, tuple, np.ndarray)):
             edges = list(edges)
-        pairs = np.array(edges, dtype=np.intp).reshape(len(edges), 2)
+        pairs = np.array(edges).reshape(len(edges), 2)
+        if pairs.dtype.kind not in "iu":  # floats, strings, objects, or no edges at all
+            for x in (x for pair in edges for x in pair):
+                try:
+                    operator.index(x)
+                except TypeError:
+                    raise ValueError(f"edge endpoint {x!r} is not an integer") from None
+        pairs = pairs.astype(np.intp, copy=False)
         lo, hi = np.sort(pairs, axis=1).T
         loops = np.flatnonzero(lo == hi)
         if len(loops):
@@ -326,8 +340,10 @@ def is_proper(g: Graph, colors) -> bool:
     return not np.any(colors[g.us] == colors[g.vs])
 
 
-def is_connected(g: Graph) -> bool:
-    adj = g.adjacency_lists()
+def is_connected(g: Graph, adj=None) -> bool:
+    """True iff every vertex is reachable from vertex 0; adj, if given, is g.adjacency_lists()."""
+    if adj is None:
+        adj = g.adjacency_lists()
     seen = [False] * g.n
     stack = [0]
     seen[0] = True

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromabound import bounds, graphs, linalg
+from chromabound import bounds, exact, graphs, linalg
 from chromabound.bounds import (
     BoundConfig,
     DegenerateGraphError,
@@ -25,6 +25,7 @@ from chromabound.bounds import (
 )
 from chromabound.exact import exact_chi
 from chromabound.graphs import Graph, adjacency_matrix, complete, cycle, petersen, star
+from chromabound.majorization import minimal_tau
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -312,8 +313,9 @@ def _ratio_at(g, z, mu):
     """The smoothed ratio at edge values z, and its gradient as the ascent computes it."""
     edges = bounds._EdgeMatrices(g.n, (g.us, g.vs))
     lam, v = np.linalg.eigh(edges.matrix(z))
-    ratio, terms = bounds._smoothed_ratio(lam, mu)
-    return ratio, bounds._edge_gradient(v, bounds._ratio_derivatives(ratio, terms), edges.upper)
+    ratio, terms = bounds._smoothed_ratio(lam, lam[0], lam[-1], mu, bounds._smoothing_buffer(g.n))
+    c = bounds._ratio_derivatives(ratio, terms)
+    return ratio, bounds._edge_gradient(v, c, edges.upper, np.empty_like(v), np.empty(v.shape, v.dtype))
 
 
 class TestAscentGradient:
@@ -340,7 +342,8 @@ class TestAscentGradient:
 
 
 # Reference ascent step, which bounds._ascend must match bit for bit: a fresh matrix per
-# candidate, c formed for every candidate, the full product indexed in 2-D.
+# candidate, c formed for every candidate, the full product indexed in 2-D, and a gradient
+# solved after every accept, even one no step can follow.
 def _edge_matrix_ref(n, index, z):
     us, vs = index
     m = np.zeros((n, n), dtype=np.result_type(z, float))
@@ -364,7 +367,9 @@ def _evaluate_ref(n, index, z):
     return z, m, np.linalg.eigvalsh(m)
 
 
-def _ascend_ref(n, index, start, budget):
+def _ascend_ref(n, index, start, budget, stationary_stop=True):
+    """With stationary_stop, a restart whose first gradient is radial to rounding returns
+    its start; without it, the ascent goes on, as it did before that rule."""
     us, vs = index
     step, mu, ratio = bounds.STEP, bounds.MU, -math.inf
     cand, m, cand_lam = start
@@ -379,6 +384,9 @@ def _ascend_ref(n, index, start, budget):
             grad = 2.0 * ((v * c) @ v.conj().T)[us, vs]
             solves += 1
             norm = np.linalg.norm(grad)
+            tangent = np.linalg.norm(grad - (np.vdot(z, grad).real / np.vdot(z, z).real) * z)
+            if stationary_stop and solves == 2 and tangent <= bounds.STATIONARY_RTOL * norm:
+                break
             step *= 1.5
         else:
             step /= 2.0
@@ -424,6 +432,33 @@ class TestAscentMatchesReference:
                 assert np.array_equal(lam, lam_ref), name
             checked += 1
         assert checked == 18
+
+    @pytest.mark.parametrize("name", ["C5", "C7", "petersen"])
+    def test_stationary_start_returns_it(self, corpus, name, monkeypatch):
+        """At the all-ones start of an edge-transitive graph the gradient is radial, so restart
+        0 stops after the start's eigvalsh and one eigh and returns the start itself. Restart
+        1 and optimize_weight's result are those of the ascent without the stop."""
+        g = dict(corpus)[name]
+        index = g.us, g.vs
+        edges = bounds._EdgeMatrices(g.n, index)
+        start = edges.evaluate(np.ones(g.num_edges))
+        solves = _count_solves(monkeypatch)
+        z, lam = bounds._ascend(edges, start, 60)
+        assert solves == {"eigvalsh": [], "eigh": [(g.n, g.n)]}
+        assert z is start[0] and lam is start[2]
+
+        # the search without the stop, scored as optimize_weight scores it
+        best_z, best_tau = start[0], minimal_tau(start[2])
+        for r_idx, z0 in enumerate(_restart_starts(g, 2, 7, False)):
+            z_ref, lam_ref = _ascend_ref(g.n, index, _evaluate_ref(g.n, index, z0), 60, stationary_stop=False)
+            if r_idx > 0:
+                z, lam = bounds._ascend(edges, edges.evaluate(z0), 60)
+                assert np.array_equal(z, z_ref) and np.array_equal(lam, lam_ref)
+            if minimal_tau(lam_ref) > best_tau + 1e-15:
+                best_z, best_tau = z_ref, minimal_tau(lam_ref)
+        w, tau = optimize_weight(g, restarts=2, iterations=60, seed=7)
+        assert tau == best_tau
+        assert np.array_equal(w.matrix[index], best_z)
 
 
 class TestAscentQuality:
@@ -568,6 +603,32 @@ class TestReport:
         report = chromatic_lower_bound(g, BoundConfig(restarts=2, iterations=60), "g")
         assert solver_calls == {"eigvalsh": 1, "eigh": 0, "adjacency_matrix": 0, "is_connected": 1}
         assert report.tau_optimized == report.tau_ones
+
+    @pytest.mark.parametrize("exact_limit", [30, 0])
+    @pytest.mark.parametrize("g, tight", [(complete(5), True), (cycle(6), True), (cycle(5), False),
+                                          (petersen(), False)], ids=["K5", "C6", "C5", "petersen"])
+    def test_prerequisites_built_once(self, g, tight, exact_limit, monkeypatch):
+        """A report with every method builds the adjacency lists once and runs greedy DSATUR at
+        most once: Barnes's connectivity test, the skip test and the exact oracle share them."""
+        lists, greedy = [], []
+        inner_lists, inner_greedy = Graph.adjacency_lists, exact.greedy_dsatur
+
+        def counted_lists(self):
+            lists.append(self)
+            return inner_lists(self)
+
+        def counted_greedy(*args):
+            greedy.append(args)
+            return inner_greedy(*args)
+
+        monkeypatch.setattr(Graph, "adjacency_lists", counted_lists)
+        monkeypatch.setattr(bounds, "greedy_dsatur", counted_greedy)
+        monkeypatch.setattr(exact, "greedy_dsatur", counted_greedy)
+        report = chromatic_lower_bound(g, BoundConfig(restarts=2, iterations=60, exact_limit=exact_limit), "g")
+        assert len(lists) == 1
+        assert len(greedy) == (1 if exact_limit or tight else 0)  # a tight graph's skip test runs it
+        if exact_limit:
+            assert report.exact_chi == exact_chi(g).chi
 
     def test_exact_alone_solves_nothing(self, solver_calls):
         report = chromatic_lower_bound(petersen(), BoundConfig(methods=("exact",)), "petersen")

@@ -383,6 +383,37 @@ class TestCompare:
         assert first == second
 
 
+class TestJsonLayout:
+    """Objects put one key per line and arrays of objects one element per line, at two spaces
+    per level; every other array is one line."""
+
+    def test_layout(self):
+        from chromabound.cli import _dump_json
+
+        doc = {"a": 1, "rows": [{"b": [1, 2], "c": {}}, {"d": None}], "e": [[0, 1, 0.5]], "f": [], "g": {"h": "x"}}
+        assert _dump_json(doc) == (
+            '{\n  "a": 1,\n  "rows": [\n    {\n      "b": [1, 2],\n      "c": {}\n    },\n    {\n'
+            '      "d": null\n    }\n  ],\n  "e": [[0, 1, 0.5]],\n  "f": [],\n  "g": {\n    "h": "x"\n  }\n}\n'
+        )
+        assert json.loads(_dump_json(doc)) == doc
+
+    def test_bound_document(self, petersen_col, capsys):
+        argv = ["bound", petersen_col, "--restarts", "2", "--iters", "30", "--seed", "3",
+                "--complex-weights", "--format", "json"]
+        assert main(argv) == EXIT_OK
+        first = capsys.readouterr().out
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == first
+        doc = json.loads(first)
+        certificates = doc.pop("certificates")
+        assert list(certificates) == ["barnesD", "optimizedWeight"]
+        assert first.splitlines() == (
+            ["{"] + [f"  {json.dumps(k)}: {json.dumps(v)}," for k, v in doc.items()]
+            + ['  "certificates": {', f'    "barnesD": {json.dumps(certificates["barnesD"])},',
+               f'    "optimizedWeight": {json.dumps(certificates["optimizedWeight"])}', "  }", "}"]
+        )
+
+
 def _fresh_process(argv):
     """stdout of `python -m chromabound.cli argv` in a new interpreter."""
     env = {**os.environ, "PYTHONPATH": str(Path(chromabound.__file__).parents[1])}

@@ -33,6 +33,27 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match="out of range"):
             Graph(3, frozenset({(0, 3)}))
 
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [(3, [(0, 1.5)], "endpoint 1.5 "), (3, [(0.9, 2)], "endpoint 0.9 "), (3, [("1", "2")], "endpoint '1' "),
+         (3, [(0, 1), (1, 2.0)], "endpoint 2.0 "), (3, np.array([[0.0, 1.0]]), "endpoint np.float64\\(0.0\\)"),
+         (2.5, [(0, 1)], "vertex count must be an integer, got 2.5"), ("3", [], "got '3'")],
+    )
+    def test_rejects_non_integral_vertices(self, n, edges, message):
+        """An endpoint or n that is not an integer is refused, never truncated or parsed."""
+        with pytest.raises(ValueError, match=message):
+            Graph(n, edges)
+
+    def test_accepts_integer_types(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        for n, edges in [(np.int64(3), [(np.int32(0), 1), (np.int64(2), np.uint8(1))]),
+                         (3, np.array([[0, 1], [1, 2]])), (3, np.array([[0, 1], [2, 1]], dtype=np.uint16))]:
+            assert Graph(n, edges) == g
+            assert type(Graph(n, edges).n) is int
+        for edges in ([], (), np.zeros((0, 2), dtype=np.intp)):
+            empty = Graph(3, edges)
+            assert empty.num_edges == 0 and empty.us.dtype == np.intp
+
     def test_edge_arrays_are_read_only(self):
         g = cycle(5)
         assert g.us.dtype == g.vs.dtype == np.intp

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import chromabound
 from chromabound import graphs
-from chromabound.cli import EXIT_IMPROPER, EXIT_INPUT, EXIT_OK, EXIT_TIMEOUT, main
+from chromabound.cli import EXIT_IMPROPER, EXIT_INPUT, EXIT_OK, EXIT_TIMEOUT, _dump_json, main
 from chromabound.graphs import complete, emit_dimacs, erdos_renyi, mycielski, parse_dimacs, petersen
 
 
@@ -388,8 +388,6 @@ class TestJsonLayout:
     per level; every other array is one line."""
 
     def test_layout(self):
-        from chromabound.cli import _dump_json
-
         doc = {"a": 1, "rows": [{"b": [1, 2], "c": {}}, {"d": None}], "e": [[0, 1, 0.5]], "f": [], "g": {"h": "x"}}
         assert _dump_json(doc) == (
             '{\n  "a": 1,\n  "rows": [\n    {\n      "b": [1, 2],\n      "c": {}\n    },\n    {\n'

@@ -230,15 +230,15 @@ def _smoothing_buffer(n):
     return w, w[0], w[1]
 
 
-def _smoothed_ratio(lam, lo, hi, mu, buf):
-    """lambda_1 / -lambda_n of an ascending spectrum with extremes lo = lam[0] and
-    hi = lam[-1], both smoothed by log-sum-exp of width mu, and the terms
-    `_ratio_derivatives` forms its derivatives from.
+def _smoothed_ratio(lam, mu, buf):
+    """lambda_1 / -lambda_n of an ascending spectrum, both smoothed by log-sum-exp of
+    width mu, and the terms `_ratio_derivatives` forms its derivatives from.
 
     The weights exp((lam - lambda_1) / mu) and exp((lambda_n - lam) / mu) are the rows of
     the `_smoothing_buffer` buf and share one exp and one sum; the terms hold those rows,
     valid until the buffer's next use."""
     w, top_w, bot_w = buf
+    lo, hi = float(lam[0]), float(lam[-1])
     np.subtract(lam, hi, top_w)
     np.subtract(lo, lam, bot_w)
     np.divide(w, mu, w)
@@ -303,10 +303,9 @@ def _ascend(edges, start, budget):
     vc, prod = np.empty((2,) + m.shape, m.dtype)  # eigh returns vectors of m's dtype, C-ordered
     solves = 1
     while True:
-        cand_ends = float(cand_lam[0]), float(cand_lam[-1])
-        cand_ratio, terms = _smoothed_ratio(cand_lam, *cand_ends, mu, buf)
+        cand_ratio, terms = _smoothed_ratio(cand_lam, mu, buf)
         if cand_ratio > ratio:
-            z, lam, ends, ratio = cand, cand_lam, cand_ends, cand_ratio
+            z, lam, ratio = cand, cand_lam, cand_ratio
             if solves >= budget - 1:  # no candidate could follow a gradient solved now
                 break
             c = _ratio_derivatives(ratio, terms)
@@ -320,7 +319,7 @@ def _ascend(edges, start, budget):
             step /= 2.0
             if mu > MIN_MU:  # at the floor the smoothed ratio of lam stays as it is
                 mu = max(mu / 2.0, MIN_MU)
-                ratio = _smoothed_ratio(lam, *ends, mu, buf)[0]
+                ratio = _smoothed_ratio(lam, mu, buf)[0]
         if solves >= budget or step < MIN_STEP:
             break
         cand, m, cand_lam = edges.evaluate(z + (step / norm) * grad)
@@ -497,12 +496,10 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
                 pre, edges, start, tau_ones, config.restarts, config.iterations, config.seed, config.allow_complex
             )
             report.tau_optimized = tau + 1.0
-            us, vs = g.us.tolist(), g.vs.tolist()
-            if z.dtype.kind == "c":
-                cert = [[u, v, fmt12(re), fmt12(im)] for u, v, re, im in zip(us, vs, z.real.tolist(), z.imag.tolist())]
-            else:  # fmt12(0.0) is 0.0
-                cert = [[u, v, fmt12(re), 0.0] for u, v, re in zip(us, vs, z.tolist())]
-            report.certificates["optimizedWeight"] = cert
+            report.certificates["optimizedWeight"] = [
+                [u, v, fmt12(re), fmt12(im)]
+                for u, v, re, im in zip(g.us.tolist(), g.vs.tolist(), z.real.tolist(), z.imag.tolist())
+            ]
     if "exact" in methods:
         if g.n <= config.exact_limit:
             result = exact_chi(g, adj=pre.adj, greedy=pre.greedy)

@@ -313,7 +313,7 @@ def _ratio_at(g, z, mu):
     """The smoothed ratio at edge values z, and its gradient as the ascent computes it."""
     edges = bounds._EdgeMatrices(g.n, (g.us, g.vs))
     lam, v = np.linalg.eigh(edges.matrix(z))
-    ratio, terms = bounds._smoothed_ratio(lam, lam[0], lam[-1], mu, bounds._smoothing_buffer(g.n))
+    ratio, terms = bounds._smoothed_ratio(lam, mu, bounds._smoothing_buffer(g.n))
     c = bounds._ratio_derivatives(ratio, terms)
     return ratio, bounds._edge_gradient(v, c, edges.upper, np.empty_like(v), np.empty(v.shape, v.dtype))
 
@@ -368,8 +368,10 @@ def _evaluate_ref(n, index, z):
 
 
 def _ascend_ref(n, index, start, budget, stationary_stop=True):
-    """With stationary_stop, a restart whose first gradient is radial to rounding returns
-    its start; without it, the ascent goes on, as it did before that rule."""
+    """With stationary_stop, a restart whose first gradient has a tangent part of at most
+    1e-8 of its norm returns its start; without it, the ascent goes on, as it did before
+    that rule. The threshold is written here, not read from bounds, so that the test pins
+    it."""
     us, vs = index
     step, mu, ratio = bounds.STEP, bounds.MU, -math.inf
     cand, m, cand_lam = start
@@ -385,7 +387,7 @@ def _ascend_ref(n, index, start, budget, stationary_stop=True):
             solves += 1
             norm = np.linalg.norm(grad)
             tangent = np.linalg.norm(grad - (np.vdot(z, grad).real / np.vdot(z, z).real) * z)
-            if stationary_stop and solves == 2 and tangent <= bounds.STATIONARY_RTOL * norm:
+            if stationary_stop and solves == 2 and tangent <= 1e-8 * norm:
                 break
             step *= 1.5
         else:
@@ -393,7 +395,7 @@ def _ascend_ref(n, index, start, budget, stationary_stop=True):
             if mu > bounds.MIN_MU:
                 mu = max(mu / 2.0, bounds.MIN_MU)
                 ratio = _smoothed_ratio_ref(lam, mu)[0]
-        if solves >= budget or step < bounds.MIN_STEP or norm == 0.0:
+        if solves >= budget or step < bounds.MIN_STEP:
             break
         cand, m, cand_lam = _evaluate_ref(n, index, z + (step / norm) * grad)
         solves += 1
@@ -459,6 +461,18 @@ class TestAscentMatchesReference:
         w, tau = optimize_weight(g, restarts=2, iterations=60, seed=7)
         assert tau == best_tau
         assert np.array_equal(w.matrix[index], best_z)
+
+    @pytest.mark.parametrize("name", ["gnp11_s3", "mycielski2"])
+    def test_non_stationary_start_ascends(self, corpus, name, monkeypatch):
+        """At the all-ones start of a graph that is not edge-transitive the gradient has a
+        tangent part, so restart 0 steps away from the start."""
+        g = dict(corpus)[name]
+        edges = bounds._EdgeMatrices(g.n, (g.us, g.vs))
+        start = edges.evaluate(np.ones(g.num_edges))
+        solves = _count_solves(monkeypatch)
+        z, _lam = bounds._ascend(edges, start, 60)
+        assert len(solves["eigvalsh"]) + len(solves["eigh"]) > 2
+        assert not np.array_equal(z, start[0])
 
 
 class TestAscentQuality:

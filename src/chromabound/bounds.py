@@ -6,25 +6,16 @@ W = D^{-1/2} 1 D^{-1/2} with D = |lambda_n| I, and tau_W + 1 takes any
 Hermitian W. Every M is built by `_EdgeMatrices` from its values on the
 graph's edge arrays (us, vs), in their order, and `_EdgeMatrices.evaluate`,
 which scales it to ||M||_F = 1, solves it through `linalg.eigensolve`, the
-package's one eigensolver. A
-report evaluates the all-ones edge vector once (`_ones_start`) and takes
-its tau once, and that spectrum feeds Wilf, Hoffman, Barnes, tau-ones and
-the weight search: M = A / sqrt(2m), so spec(A) is spec(M) * sqrt(2m),
-and the ratios are scale-free. tau is homogeneous in M, so it takes no
-tolerance here: `minimal_tau` applies its own fixed relative one. The
-weight search is a gradient ascent on the smoothed lambda_1 / |lambda_n|,
-real or complex, from the all-ones incumbent, so the result never
-regresses below the Hoffman-style baseline, and it returns the edge
-values and the tau it scored.
-Each ascent step writes its candidate's edge values into one reused n x n
-buffer per dtype, solves it without numpy.linalg's wrapper, and forms the
-smoothed ratio's derivatives, in place, only for a candidate it accepts;
-each restart allocates its smoothing and gradient buffers once.
-The smoothed ratio is not 0-homogeneous, because mu is absolute, so its
-gradient has a radial part, which the renormalization of every step
-discards. Where the first gradient of a restart is radial to rounding, as
-at the all-ones start of an edge-transitive graph, every step would land
-back on the start, so the restart returns it.
+package's one eigensolver. A report evaluates the all-ones edge vector
+once (`_ones_start`) and takes its tau once, and that spectrum feeds
+Wilf, Hoffman, Barnes, tau-ones and the weight search: M = A / sqrt(2m),
+so spec(A) is spec(M) * sqrt(2m), and the ratios are scale-free. tau is
+homogeneous in M, so it takes no tolerance here: `minimal_tau` applies
+its own fixed relative one. The weight search is a gradient ascent on
+the smoothed lambda_1 / |lambda_n|, real or complex, from the all-ones
+incumbent, so the result never regresses below the Hoffman-style
+baseline, and it returns the edge values and the tau it scored;
+`_ascend` describes its buffers and its stop at a stationary start.
 The search is skipped where the all-ones tau + 1 already equals the color
 count of greedy DSATUR: tau_W + 1 <= chi <= that count for every W, so no
 weighting can do better (this covers K_n and every bipartite graph with
@@ -216,11 +207,14 @@ STEP, MIN_STEP = 0.1, 1e-4  # step along the sphere ||M||_F = 1; a smaller one e
 MU, MIN_MU = 0.05, 0.02  # log-sum-exp width of the smoothing, and its floor
 
 
-# A restart whose first gradient has a tangent part below STATIONARY_RTOL * |grad| returns
-# its start. At the all-ones start of C5, C7, C9, C11, Petersen and mycielski1 that part is
-# rounding, at most 7e-13 of |grad|; at every other corpus start, all-ones or random, it is
-# at least 0.47. 1e-8 is four decades above the one and seven below the other.
+# A restart returns its start if its first gradient has no direction: its tangent part is at
+# most STATIONARY_RTOL * |grad| (at most 7e-13 at the all-ones start of C5-C11 odd, Petersen
+# and mycielski1, at least 0.47 at every other corpus start), or |grad| <= n * EPS * sum |c_k|,
+# the rounding level of entries that are sums of n products of magnitude <= |c_k| (Higham's
+# gamma_n): 0.12-1.3 EPS * sum |c_k| on C101-C801 from any start, and at least 1.4e12 times
+# that at every non-tight corpus start (seeds 1-14, real and complex).
 STATIONARY_RTOL = 1e-8
+EPS = np.finfo(float).eps
 
 
 def _smoothing_buffer(n):
@@ -291,11 +285,11 @@ def _ascend(edges, start, budget):
     pays for the derivatives c_k and the eigenvectors of its gradient, and only if a step
     can still follow it. The smoothed ratio is not 0-homogeneous (mu is absolute), so the
     gradient has a part along z, which the renormalization of the next candidate
-    discards. If the first gradient is along z, to rounding (STATIONARY_RTOL), the start is
-    stationary on the sphere ||M||_F = 1 and every step would renormalize back to it, so
-    the restart returns the start. Success (the start is one) grows the step 1.5-fold,
-    failure halves the step and mu, and a step below MIN_STEP stops early. The smoothing
-    weights and the gradient's n x n products live in buffers allocated once per call.
+    discards. If the first gradient is along z to rounding, or is rounding (STATIONARY_RTOL),
+    no step has a direction to follow, so the restart returns the start. Success (the start
+    is one) grows the step 1.5-fold, failure halves the step and mu, and a step below
+    MIN_STEP stops early. The smoothing weights and the gradient's n x n products live in
+    buffers allocated once per call.
     """
     step, mu, ratio = STEP, MU, -math.inf
     cand, m, cand_lam = start
@@ -312,7 +306,8 @@ def _ascend(edges, start, budget):
             grad = _edge_gradient(linalg.eigensolve(m, vectors=True)[1], c, edges.upper, vc, prod)
             solves += 1
             norm = _norm(grad)
-            if solves == 2 and _tangent_norm(grad, z) <= STATIONARY_RTOL * norm:
+            if solves == 2 and (norm <= len(lam) * EPS * c.sum()  # every c_k > 0
+                                or _tangent_norm(grad, z) <= STATIONARY_RTOL * norm):
                 break  # the first gradient: the start is stationary
             step *= 1.5
         else:

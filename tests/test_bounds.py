@@ -369,9 +369,10 @@ def _evaluate_ref(n, index, z):
 
 def _ascend_ref(n, index, start, budget, stationary_stop=True):
     """With stationary_stop, a restart whose first gradient has a tangent part of at most
-    1e-8 of its norm returns its start; without it, the ascent goes on, as it did before
-    that rule. The threshold is written here, not read from bounds, so that the test pins
-    it."""
+    1e-8 of its norm, or a norm of at most n * eps * sum_k |c_k| (the rounding level of its
+    entries), returns its start; without it, the ascent goes on, as it did before those
+    rules. The thresholds are written here, not read from bounds, so that the test pins
+    them."""
     us, vs = index
     step, mu, ratio = bounds.STEP, bounds.MU, -math.inf
     cand, m, cand_lam = start
@@ -387,7 +388,8 @@ def _ascend_ref(n, index, start, budget, stationary_stop=True):
             solves += 1
             norm = np.linalg.norm(grad)
             tangent = np.linalg.norm(grad - (np.vdot(z, grad).real / np.vdot(z, z).real) * z)
-            if stationary_stop and solves == 2 and tangent <= 1e-8 * norm:
+            rounding = n * np.finfo(float).eps * np.abs(c).sum()
+            if stationary_stop and solves == 2 and (tangent <= 1e-8 * norm or norm <= rounding):
                 break
             step *= 1.5
         else:
@@ -461,6 +463,23 @@ class TestAscentMatchesReference:
         w, tau = optimize_weight(g, restarts=2, iterations=60, seed=7)
         assert tau == best_tau
         assert np.array_equal(w.matrix[index], best_z)
+
+    @pytest.mark.parametrize("allow_complex", [False, True])
+    def test_rounding_gradient_returns_start(self, allow_complex, monkeypatch):
+        """On C101 the first gradient is rounding noise, at the all-ones start and at a random
+        one, so restarts 0 and 1 each stop after the start's eigvalsh and one eigh, return
+        their start and match the reference ascent with the same rule."""
+        g = cycle(101)
+        index = g.us, g.vs
+        edges = bounds._EdgeMatrices(g.n, index)
+        for z0 in _restart_starts(g, 2, 7, allow_complex):
+            start = edges.evaluate(z0)
+            solves = _count_solves(monkeypatch)
+            z, lam = bounds._ascend(edges, start, 60)
+            assert solves == {"eigvalsh": [], "eigh": [(g.n, g.n)]}
+            assert z is start[0] and lam is start[2]
+            z_ref, lam_ref = _ascend_ref(g.n, index, _evaluate_ref(g.n, index, z0), 60)
+            assert np.array_equal(z, z_ref) and np.array_equal(lam, lam_ref)
 
     @pytest.mark.parametrize("name", ["gnp11_s3", "mycielski2"])
     def test_non_stationary_start_ascends(self, corpus, name, monkeypatch):

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromabound import exact
 from chromabound.exact import exact_chi, greedy_clique, greedy_dsatur
 from chromabound.graphs import (
     Coloring,
@@ -75,6 +78,18 @@ def reference_greedy_dsatur(g):
     return Coloring(tuple(colors), max(colors) + 1)
 
 
+def reference_greedy_clique(g):
+    """The set-based greedy clique the mask walk replaced: vertices by descending degree,
+    then ascending index, each kept if it is adjacent to every vertex kept before it."""
+    adj = [set(nbrs) for nbrs in g.adjacency_lists()]
+    order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
+    clique = []
+    for v in order:
+        if all(v in adj[u] for u in clique):
+            clique.append(v)
+    return clique
+
+
 class _ReferenceBudget:
     def __init__(self, limit):
         self.nodes = 0
@@ -96,7 +111,7 @@ def reference_exact_chi(g, budget):
     seed = reference_greedy_dsatur(g)
     best_colors = list(seed.colors)
     best_k = seed.num_colors
-    lower = max(1, len(greedy_clique(g)))
+    lower = max(1, len(reference_greedy_clique(g)))
     counter = _ReferenceBudget(budget)
     colors = [-1] * n
     neighbor_colors = [set() for _ in range(n)]
@@ -161,6 +176,19 @@ def _mycielski_tower(levels):
     return g
 
 
+def _relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, frozenset((perm[u], perm[v]) for u, v in g.edges))
+
+
+def _exact_hard_shapes():
+    """perfbench's exact-hard graphs, relabelled as its workload relabels them."""
+    rng = random.Random(7)
+    named = [_mycielski_tower(4), erdos_renyi(60, 0.5, 0), erdos_renyi(60, 0.5, 2)]
+    return [_relabel(g, rng) for g in named]
+
+
 REFERENCE_INPUTS = {
     "corpus": lambda: [g for _name, g in default_corpus()],
     "gnp-grid": lambda: [
@@ -188,6 +216,22 @@ def test_search_matches_reference(inputs, budget):
         got = (result.chi, result.witness.colors, result.nodes_explored, result.timed_out)
         assert got == reference_exact_chi(g, budget)
         assert result.witness.num_colors == result.chi
+
+
+@pytest.mark.parametrize("inputs", sorted(REFERENCE_INPUTS))
+def test_clique_matches_reference(inputs):
+    for g in REFERENCE_INPUTS[inputs]():
+        assert greedy_clique(g) == reference_greedy_clique(g)
+
+
+@pytest.mark.parametrize("budget", [20_000, 100_000])
+def test_search_matches_reference_on_exact_hard(budget):
+    """Long searches on the benchmark's shapes, relabelled: both budgets run out mid-search
+    on all three graphs, after many nodes whose vertex has no free color below the limit."""
+    for g in _exact_hard_shapes():
+        result = exact_chi(g, budget)
+        got = (result.chi, result.witness.colors, result.nodes_explored, result.timed_out)
+        assert got == reference_exact_chi(g, budget)
 
 
 class TestDsatur:
@@ -303,6 +347,28 @@ class TestExactChi:
         result = exact_chi(g)
         assert len(calls) == 1
         assert result.chi == 3 and result.nodes_explored > 0  # the search ran
+
+    def test_index_built_once(self, monkeypatch):
+        """Greedy DSATUR, the greedy clique and the search read one relabelled index."""
+        calls = []
+        inner = exact._bit_index
+
+        def counted(adj):
+            calls.append(adj)
+            return inner(adj)
+
+        monkeypatch.setattr(exact, "_bit_index", counted)
+        result = exact_chi(petersen())
+        assert len(calls) == 1
+        assert result.chi == 3 and result.nodes_explored > 0  # the search ran
+
+    @pytest.mark.parametrize("g", [petersen(), cycle(5)], ids=["petersen", "C5"])
+    def test_improper_witness_raises(self, g, monkeypatch):
+        """The witness check is an explicit error, kept under python -O: a search that
+        returns one color for every vertex is refused."""
+        monkeypatch.setattr(exact, "_dsatur", lambda index, best_k, lower, budget: (1, (0,) * g.n, 1, False))
+        with pytest.raises(RuntimeError, match="improper 1-coloring"):
+            exact_chi(g)
 
     def test_deterministic(self):
         g = erdos_renyi(12, 0.5, 4)

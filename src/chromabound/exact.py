@@ -6,8 +6,8 @@ highest saturation, ties by highest degree then lowest index. The state is bit-p
 (San Segundo 2012, *A new DSATUR-based algorithm for exact vertex coloring*): each vertex
 set is one int over the bit positions of `_bit_index`, built once per call, and lives in
 the locals of one loop, `_dsatur`, whose first descent is greedy DSATUR. `exact_chi`,
-best of 3 on one core of a shared 2-CPU Xeon, Python 3.11: about 980k nodes/s on
-Mycielski level 4, 720k on G(60, 0.5) and 570k on G(2048, 0.01).
+best of 3 on one core of a shared 2-CPU Xeon, Python 3.11: about 990k nodes/s on
+Mycielski level 4, 710k on G(60, 0.5) and 560k on G(2048, 0.01).
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ class ColoringResult:
 def _bit_index(adj):
     """(order, nbr, plane count): vertex order[p] at bit position p, ascending by (degree,
     -index) so the highest position wins ties, nbr[p] its neighbour mask, planes for any degree."""
-    n = len(adj)
-    order = sorted(range(n), key=lambda v: (len(adj[v]), -v))
-    pos = sorted(range(n), key=order.__getitem__)  # the inverse permutation: order[pos[v]] == v
+    order = sorted(range(len(adj)), key=lambda v: (len(adj[v]), -v))
+    pos = sorted(range(len(adj)), key=order.__getitem__)  # the inverse: order[pos[v]] == v
     return order, [sum(1 << pos[u] for u in adj[v]) for v in order], max(map(len, adj)).bit_length()
 
 
@@ -68,6 +67,7 @@ def _dsatur(index, best_k, lower, budget):
                 if best_k <= lower:
                     break
             else:
+                # the uncolored position of highest saturation, then highest position
                 cand = uncolored
                 k = top
                 while k >= 0:

@@ -5,7 +5,6 @@ and an exact coloring oracle for validation."""
 from .bounds import (
     BoundConfig,
     BoundReport,
-    WeightMatrix,
     barnes_bound,
     barnes_weight,
     chromatic_lower_bound,
@@ -51,7 +50,6 @@ __all__ = [
     "Graph",
     "MajorizationReport",
     "SignReversalMap",
-    "WeightMatrix",
     "adjacency_matrix",
     "apply_reversal",
     "barnes_bound",

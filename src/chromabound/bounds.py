@@ -1,11 +1,13 @@
 """Chromatic-number bounds from spectra of weighted adjacency matrices.
 
 Every lower bound reads the spectrum of a Hadamard-weighted adjacency
-matrix M = W * A. Hoffman and tau-ones use the all-ones W, Barnes uses
-W = D^{-1/2} 1 D^{-1/2} with D = |lambda_n| I, and tau_W + 1 takes any
-Hermitian W. Every M is built by `_EdgeMatrices` from its values on the
-graph's edge arrays (us, vs), in their order, and `_EdgeMatrices.evaluate`,
-which scales it to ||M||_F = 1, solves it through `linalg.eigensolve`, the
+matrix M = W * A, which reads W only on the edges, so a weighting is its
+edge values z: one real or complex number per edge, in the order of
+(g.us, g.vs) and of the optimizedWeight certificate. A dense Hermitian W
+enters as W[g.us, g.vs]. Hoffman and tau-ones use the all-ones z, Barnes
+1/sqrt(d_u d_v) for D = |lambda_n| I, and tau_W + 1 any z. Every M is
+built by `_EdgeMatrices` from z, and `_EdgeMatrices.evaluate`, which
+scales it to ||M||_F = 1, solves it through `linalg.eigensolve`, the
 package's one eigensolver. A report evaluates the all-ones edge vector
 once (`_ones_start`) and takes its tau once, and that spectrum feeds
 Wilf, Hoffman, Barnes, tau-ones and the weight search: M = A / sqrt(2m),
@@ -19,9 +21,9 @@ baseline, and it returns the edge values and the tau it scored;
 The search is skipped where the all-ones tau + 1 already equals the color
 count of greedy DSATUR: tau_W + 1 <= chi <= that count for every W, so no
 weighting can do better (this covers K_n and every bipartite graph with
-an edge). A report builds the adjacency lists and greedy DSATUR at most
-once, and the connectivity test, the skip test and the exact oracle share
-them.
+an edge). A report builds the adjacency lists, the exact oracle's bit
+index and greedy DSATUR at most once, and the connectivity test, the skip
+test and the exact oracle share them.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import linalg
+from . import exact, linalg
 from .exact import exact_chi, greedy_dsatur
 from .graphs import Graph, is_connected
 from .linalg import fmt12
@@ -49,30 +51,20 @@ class DisconnectedGraphError(ValueError):
     """The Barnes bound requires a connected graph."""
 
 
-@dataclass(frozen=True, eq=False)
-class WeightMatrix:
-    """Hermitian weighting; only its entries on the edge set enter M = W * A."""
-
-    matrix: np.ndarray
-    origin: str = "user"
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", linalg.hermitize(self.matrix))
+def ones_weight(g: Graph) -> np.ndarray:
+    """The all-ones weighting: M = A."""
+    return np.ones(g.num_edges)
 
 
-def ones_weight(n: int) -> WeightMatrix:
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    return WeightMatrix(np.ones((n, n)), "ones")
-
-
-def barnes_weight(d) -> WeightMatrix:
-    """Weights 1/(sqrt(d_k) sqrt(d_l)), so that W*A = D^{-1/2} A D^{-1/2}."""
+def barnes_weight(g: Graph, d) -> np.ndarray:
+    """Weights 1/(sqrt(d_u) sqrt(d_v)) on the edges (u, v), so that M = D^{-1/2} A D^{-1/2}."""
     d = np.asarray(d, dtype=float)
-    if np.any(d <= 0.0):
-        raise ValueError("all diagonal entries must be positive")
+    if d.shape != (g.n,):
+        raise ValueError(f"diagonal shape {d.shape} != ({g.n},)")
+    if not np.all(np.isfinite(d) & (d > 0.0)):
+        raise ValueError("all diagonal entries must be positive and finite")
     inv_root = 1.0 / np.sqrt(d)
-    return WeightMatrix(np.outer(inv_root, inv_root), "barnes")
+    return inv_root[g.us] * inv_root[g.vs]
 
 
 class _EdgeMatrices:
@@ -83,10 +75,9 @@ class _EdgeMatrices:
     entries stay zero. A matrix is valid until the next call of its dtype.
     """
 
-    def __init__(self, n, index):
-        us, vs = self.index = index
-        self.n = n
-        self.upper, self.lower = us * n + vs, vs * n + us
+    def __init__(self, g: Graph):
+        self.n = n = g.n
+        self.upper, self.lower = g.us * n + g.vs, g.vs * n + g.us
         self._flat = {}
 
     def matrix(self, z):
@@ -113,22 +104,24 @@ def _norm(z):
     return math.sqrt(z.dot(z))
 
 
-def _edge_values(g: Graph, w: WeightMatrix):
-    """The edge matrices of g and W's values on its edges, real if W is real there."""
-    if w.matrix.shape != (g.n, g.n):
-        raise ValueError(f"weight shape {w.matrix.shape} != ({g.n}, {g.n})")
-    edges = _EdgeMatrices(g.n, (g.us, g.vs))
-    z = w.matrix[edges.index]
-    if not np.any(z.imag):
-        z = z.real
+def _edge_values(g: Graph, z):
+    """The edge matrices of g and the weighting z checked: one finite value per edge, not
+    all zero, as float64, or as complex128 if some imaginary part is not zero."""
+    z = np.asarray(z)
+    if z.shape != (g.num_edges,):
+        raise ValueError(f"weighting shape {z.shape} != ({g.num_edges},): one value per edge")
+    if z.dtype.kind not in "biufc" or not np.all(np.isfinite(z)):
+        raise ValueError("weighting values must be finite numbers")
+    z = z.astype(complex) if np.any(z.imag) else z.real.astype(float)
     if g.num_edges and not np.any(z):
-        raise DegenerateGraphError("weight matrix vanishes on every edge")
-    return edges, z
+        raise DegenerateGraphError("weighting vanishes on every edge")
+    return _EdgeMatrices(g), z
 
 
-def weighted_adjacency(g: Graph, w: WeightMatrix) -> np.ndarray:
-    """M = W * A (entrywise): W on the edge set, zero elsewhere; real if W is real there."""
-    edges, z = _edge_values(g, w)
+def weighted_adjacency(g: Graph, z) -> np.ndarray:
+    """M = W * A for the weighting z: z_e at (u_e, v_e), conj(z_e) at (v_e, u_e), zero
+    off the edges; real if z is real."""
+    edges, z = _edge_values(g, z)
     return edges.matrix(z)
 
 
@@ -140,7 +133,7 @@ def _ones_start(g: Graph):
     """
     if g.num_edges == 0:
         raise DegenerateGraphError("graph has no edges")
-    edges = _EdgeMatrices(g.n, (g.us, g.vs))
+    edges = _EdgeMatrices(g)
     return edges, edges.evaluate(np.ones(g.num_edges))
 
 
@@ -168,11 +161,11 @@ def barnes_bound(g: Graph) -> Tuple[float, np.ndarray]:
     """Largest eigenvalue of D^{-1/2} A D^{-1/2} plus one, and the D used.
 
     D = |lambda_n| I, the smallest multiple of I with A + D positive
-    semidefinite, so the matrix is weighted_adjacency(g, barnes_weight(d))
+    semidefinite, so the matrix is weighted_adjacency(g, barnes_weight(g, d))
     = A / |lambda_n| and the value is the Hoffman bound, read from the same
     spectrum of A. Other feasible D gain nothing over tau: A + D >= 0 gives
     lambda_min >= -1 for the scaled matrix, so its Barnes value is at most
-    tau_W + 1 for W = barnes_weight(d).
+    tau_W + 1 for W = barnes_weight(g, d).
     """
     if not is_connected(g):
         raise DisconnectedGraphError("Barnes bound requires a connected graph")
@@ -180,15 +173,13 @@ def barnes_bound(g: Graph) -> Tuple[float, np.ndarray]:
     return hoffman, np.full(g.n, lam_n)
 
 
-def tau_bound(g: Graph, w: WeightMatrix) -> float:
-    """tau_W + 1 for M = W * A; never exceeds the chromatic number.
-
-    Raises DegenerateGraphError for an edgeless graph, or for a W that
-    vanishes on every edge.
-    """
+def tau_bound(g: Graph, z) -> float:
+    """tau_W + 1 for M = W * A, W given by its edge values z; never exceeds the chromatic
+    number. Raises DegenerateGraphError for an edgeless graph or a z that vanishes on
+    every edge."""
     if g.num_edges == 0:
         raise DegenerateGraphError("graph has no edges")
-    edges, z = _edge_values(g, w)
+    edges, z = _edge_values(g, z)
     return float(minimal_tau(edges.evaluate(z)[2]) + 1.0)
 
 
@@ -336,14 +327,14 @@ def _near_integer(x):
 
 def optimize_weight(
     g: Graph, restarts=DEFAULT_RESTARTS, iterations=DEFAULT_ITERATIONS, seed=DEFAULT_SEED, allow_complex=False
-) -> Tuple[WeightMatrix, float]:
-    """Heuristically maximize tau_W over Hermitian edge weightings.
+) -> Tuple[np.ndarray, float]:
+    """Heuristically maximize tau_W over Hermitian edge weightings: the winner's edge values
+    z, scaled to ||M||_F = 1, and its tau.
 
     The all-ones weighting is evaluated first. If its tau + 1 is within TIGHT_RTOL * q of an
-    integer q and greedy DSATUR colors g with at most q colors, it is returned at once with
-    origin "ones(...)": every weighting has tau_W + 1 <= chi <= q, so the skipped search
-    could have gained at most TIGHT_RTOL * q in tau. Greedy DSATUR runs only when that
-    integer test passes.
+    integer q and greedy DSATUR colors g with at most q colors, it is returned at once:
+    every weighting has tau_W + 1 <= chi <= q, so the skipped search could have gained at
+    most TIGHT_RTOL * q in tau. Greedy DSATUR runs only when that integer test passes.
 
     Otherwise each restart runs `_ascend`, which climbs a lower bound on tau, and is scored
     by tau. The all-ones weighting is the incumbent and restart 0's start, so the result is
@@ -352,15 +343,15 @@ def optimize_weight(
     `iterations` caps eigensolves per restart. The returned tau is the winner's score.
     """
     edges, start = _ones_start(g)
-    z, tau, origin = _weight_search(
+    return _weight_search(
         _Prerequisites(g), edges, start, minimal_tau(start[2]), restarts, iterations, seed, allow_complex
     )
-    return WeightMatrix(edges.matrix(z), origin), tau
 
 
 class _Prerequisites:
-    """A graph's adjacency lists and greedy DSATUR coloring, each built on first use and
-    kept for one report, so its connectivity test, skip test and exact oracle share them."""
+    """A graph's adjacency lists, the exact oracle's bit index and greedy DSATUR coloring,
+    each built on first use and kept for one report, so its connectivity test, skip test and
+    exact oracle share them."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -370,19 +361,23 @@ class _Prerequisites:
         return self.g.adjacency_lists()
 
     @functools.cached_property
+    def index(self):
+        return exact._bit_index(self.adj)
+
+    @functools.cached_property
     def greedy(self):
-        return greedy_dsatur(self.g, self.adj)
+        return greedy_dsatur(self.g, self.index)
 
 
 def _weight_search(pre, edges, start, start_tau, restarts, iterations, seed, allow_complex):
     """`optimize_weight` on the graph of `_Prerequisites` pre from the all-ones triple
-    `start` of `_ones_start` and its tau: the winning edge values (||M||_F = 1), the tau
-    they scored and the weighting's origin."""
+    `start` of `_ones_start` and its tau: the winning edge values (||M||_F = 1) and the tau
+    they scored."""
     g = pre.g
     best_z, best_tau = start[0], start_tau
     q = _near_integer(best_tau + 1.0)
     if q is not None and pre.greedy.num_colors <= q:
-        return best_z, best_tau, f"ones(tau + 1 = greedy DSATUR colors = {q})"
+        return best_z, best_tau
     for r_idx in range(max(1, restarts)):
         if r_idx > 0:
             rng = random.Random(seed + r_idx)
@@ -394,7 +389,7 @@ def _weight_search(pre, edges, start, start_tau, restarts, iterations, seed, all
         tau = minimal_tau(lam)
         if tau > best_tau + 1e-15:
             best_tau, best_z = tau, z
-    return best_z, best_tau, f"optimized(seed={seed}, restarts={restarts}, iterations={iterations})"
+    return best_z, best_tau
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +404,11 @@ class BoundConfig:
     allow_complex: bool = False
     exact_limit: int = DEFAULT_EXACT_LIMIT
     methods: Tuple[str, ...] = METHODS
+
+    def __post_init__(self):
+        unknown = [m for m in self.methods if m not in METHODS]
+        if unknown:
+            raise ValueError(f"unknown method {unknown[0]!r}; known methods: {', '.join(METHODS)}")
 
 
 @dataclass
@@ -487,7 +487,7 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
             else:
                 report.notes.append("disconnected: Barnes bound skipped")
         if "tau-opt" in methods:
-            z, tau, _origin = _weight_search(
+            z, tau = _weight_search(
                 pre, edges, start, tau_ones, config.restarts, config.iterations, config.seed, config.allow_complex
             )
             report.tau_optimized = tau + 1.0
@@ -497,7 +497,7 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
             ]
     if "exact" in methods:
         if g.n <= config.exact_limit:
-            result = exact_chi(g, adj=pre.adj, greedy=pre.greedy)
+            result = exact_chi(g, index=pre.index, greedy=pre.greedy)
             if result.timed_out:
                 report.notes.append(
                     f"exact oracle timed out after {result.nodes_explored} nodes "

@@ -146,27 +146,22 @@ def _dsatur(index, best_k, lower, budget):
     return best_k, best_colors, nodes, exhausted
 
 
-def greedy_dsatur(g: Graph, adj=None) -> Coloring:
+def greedy_dsatur(g: Graph, index=None) -> Coloring:
     """Proper coloring by descending saturation, ties by degree then index: the search's
-    first descent, which never backtracks (n + 1 nodes). adj, if given, is
-    g.adjacency_lists(), so a caller that already has the lists does not rebuild them."""
-    return _greedy(_bit_index(g.adjacency_lists() if adj is None else adj))
-
-
-def _greedy(index):
+    first descent, which never backtracks (n + 1 nodes). index, if given, is
+    _bit_index(g.adjacency_lists()), so a caller that already has it does not rebuild it."""
+    if index is None:
+        index = _bit_index(g.adjacency_lists())
     n = len(index[0])
     num_colors, colors, _nodes, _exhausted = _dsatur(index, n + 1, n + 1, n + 1)
     return Coloring(colors, num_colors)
 
 
-def greedy_clique(g: Graph, adj=None) -> list:
-    """Greedy max clique, vertices by descending degree then index; adj as in greedy_dsatur."""
-    return _clique(_bit_index(g.adjacency_lists() if adj is None else adj))
-
-
-def _clique(index):
-    """Walk down the neighbour masks: take the highest position left, keep its neighbours."""
-    order, nbr, _num_planes = index
+def greedy_clique(g: Graph, index=None) -> list:
+    """Greedy max clique, vertices by descending degree then index, found by a walk down the
+    neighbour masks: take the highest position left, keep its neighbours. index as in
+    greedy_dsatur."""
+    order, nbr, _num_planes = _bit_index(g.adjacency_lists()) if index is None else index
     clique = []
     cand = (1 << len(order)) - 1
     while cand:
@@ -176,15 +171,19 @@ def _clique(index):
     return clique
 
 
-def exact_chi(g: Graph, budget=DEFAULT_BUDGET, adj=None, greedy=None) -> ColoringResult:
-    """Exact chromatic number unless the node budget runs out: greedy DSATUR, the greedy
-    clique and `_dsatur`, run again from the root below greedy, read one `_bit_index`. At most
-    `budget` nodes are explored. adj, if given, is g.adjacency_lists() and greedy is
-    greedy_dsatur(g), so a caller that already has them does not build them again."""
-    index = _bit_index(g.adjacency_lists() if adj is None else adj)
-    seed = _greedy(index) if greedy is None else greedy
+def exact_chi(g: Graph, budget=DEFAULT_BUDGET, index=None, greedy=None) -> ColoringResult:
+    """Exact chromatic number unless the node budget (at least 1) runs out: greedy DSATUR,
+    the greedy clique and `_dsatur`, run again from the root below greedy, read one
+    `_bit_index`. At most `budget` nodes are explored. index, if given, is
+    _bit_index(g.adjacency_lists()) and greedy is greedy_dsatur(g, index), so a caller that
+    already has them does not build them again."""
+    if budget < 1:
+        raise ValueError(f"node budget must be >= 1, got {budget}")
+    if index is None:
+        index = _bit_index(g.adjacency_lists())
+    seed = greedy_dsatur(g, index) if greedy is None else greedy
     best_colors, best_k = seed.colors, seed.num_colors
-    lower = max(1, len(_clique(index)))
+    lower = max(1, len(greedy_clique(g, index)))
     nodes, exhausted = 0, False
     if best_k > lower:
         best_k, colors, nodes, exhausted = _dsatur(index, best_k, lower, budget)

@@ -57,6 +57,9 @@ class Graph:
             raise ValueError(f"vertex count must be an integer, got {n!r}") from None
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
+        limit = math.isqrt(np.iinfo(np.intp).max)  # edges are keyed lo * n + hi in intp
+        if n > limit:
+            raise ValueError(f"vertex count {n} exceeds {limit}, the limit for intp edge keys")
         if not isinstance(edges, (list, tuple, np.ndarray)):
             edges = list(edges)
         pairs = np.array(edges).reshape(len(edges), 2)

@@ -33,11 +33,6 @@ def fmt12(x):
     return float(f"{x:.12g}")
 
 
-def check_finite(m):
-    if not np.all(np.isfinite(np.asarray(m))):
-        raise ValueError("matrix has non-finite entries")
-
-
 def hermitize(m):
     """(M + M^H) / 2 for a square, finite, nearly Hermitian M; reject the rest.
 
@@ -49,7 +44,8 @@ def hermitize(m):
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    check_finite(m)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has non-finite entries")
     if not np.iscomplexobj(m) or not np.any(m.imag):
         m = m.real.astype(float)
     mh = m.conj().T

@@ -12,7 +12,6 @@ import pytest
 
 from chromabound import linalg
 from chromabound.bounds import (
-    WeightMatrix,
     barnes_bound,
     barnes_weight,
     hoffman_bound,
@@ -76,7 +75,7 @@ def test_criterion_2_tau_dominates_hoffman(corpus):
     for name, g in corpus:
         if g.num_edges == 0:
             continue
-        assert tau_bound(g, ones_weight(g.n)) >= hoffman_bound(g) - 1e-8, name
+        assert tau_bound(g, ones_weight(g)) >= hoffman_bound(g) - 1e-8, name
         checked += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
@@ -99,7 +98,7 @@ def test_criterion_3_barnes_reductions(corpus):
         a = adjacency_matrix(g)
         for _ in range(20):
             d = rng.uniform(0.25, 4.0, size=g.n)
-            w = barnes_weight(d)
+            w = barnes_weight(g, d)
             inv_root = np.diag(1.0 / np.sqrt(d))
             gap = np.abs(weighted_adjacency(g, w) - inv_root @ a @ inv_root).max()
             assert gap <= 1e-12, name
@@ -117,7 +116,7 @@ def test_criterion_4_soundness(chi_table):
         assert wilf >= chi - 1e-6, name
         if g.num_edges == 0:
             continue
-        lowers = [hoffman_bound(g), tau_bound(g, ones_weight(g.n))]
+        lowers = [hoffman_bound(g), tau_bound(g, ones_weight(g))]
         if is_connected(g):
             lowers.append(barnes_bound(g)[0])
         _w, tau = optimize_weight(g, restarts=8, iterations=200, seed=0)
@@ -140,8 +139,8 @@ def lemma1_cases(chi_table):
             continue
         rmap = reversal_from_coloring(g, witness)
         for seed in range(10):
-            w = WeightMatrix(linalg.random_hermitian(g.n, seed), "random")
-            cases.append((name, weighted_adjacency(g, w), chi, rmap))
+            w = linalg.random_hermitian(g.n, seed)
+            cases.append((name, weighted_adjacency(g, w[g.us, g.vs]), chi, rmap))
     return cases
 
 

@@ -310,6 +310,12 @@ class TestExactChi:
             assert not result.timed_out
             assert result.chi == expected
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_rejects_budget_below_one(self, budget):
+        """A budget below 1 is refused, not read as no limit at all."""
+        with pytest.raises(ValueError, match=f"node budget must be >= 1, got {budget}"):
+            exact_chi(mycielski(mycielski(complete(2))), budget=budget)
+
     def test_budget_exhaustion(self):
         g = mycielski(mycielski(complete(2)))  # needs search beyond the clique bound
         result = exact_chi(g, budget=10)

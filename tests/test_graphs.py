@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,17 @@ class TestGraphInvariants:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
         assert g == cycle(5)
+
+    def test_rejects_n_whose_edge_keys_overflow(self):
+        """Edges are keyed lo * n + hi in intp: above isqrt(intp max) vertices a key could wrap
+        and corrupt the edge, so such an n is refused, naming the limit."""
+        n = math.isqrt(np.iinfo(np.intp).max)
+        with pytest.raises(ValueError, match=f"vertex count {10**12} exceeds {n}, the limit"):
+            Graph(10**12, [(10**12 - 2, 10**12 - 1), (3, 5)])
+        with pytest.raises(ValueError, match=f"vertex count 5000000000 exceeds {n}, the limit"):
+            parse_dimacs("p edge 5000000000 1\ne 4000000000 4000000001\n")
+        g = Graph(n, [(n - 2, n - 1), (3, 5)])
+        assert (g.us.tolist(), g.vs.tolist()) == ([3, n - 2], [5, n - 1])
 
     def test_edges_normalized(self):
         g = Graph(3, frozenset({(2, 0)}))

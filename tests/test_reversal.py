@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chromabound import linalg
-from chromabound.bounds import WeightMatrix, ones_weight, weighted_adjacency
+from chromabound.bounds import ones_weight, weighted_adjacency
 from chromabound.exact import exact_chi, greedy_dsatur
 from chromabound.graphs import Coloring, complete, cycle, petersen
 from chromabound.reversal import (
@@ -116,7 +116,7 @@ class TestVerify:
     def test_k2_coloring_map_exact(self):
         g = complete(2)
         rmap = reversal_from_coloring(g, Coloring((0, 1), 2))
-        target = weighted_adjacency(g, ones_weight(2))
+        target = weighted_adjacency(g, ones_weight(g))
         check = verify_reversal(rmap, target)
         assert check.ok
         assert check.residual <= 1e-14
@@ -146,7 +146,7 @@ class TestColoringMap:
         rmap = reversal_from_coloring(g, Coloring((0, 1, 2), 3))
         assert len(rmap.terms) == 2
         assert reversal_cost(rmap) == pytest.approx(2.0)
-        target = weighted_adjacency(g, ones_weight(3))
+        target = weighted_adjacency(g, ones_weight(g))
         assert verify_reversal(rmap, target).residual <= 1e-12
 
     def test_petersen_random_weights(self):
@@ -155,8 +155,8 @@ class TestColoringMap:
         rmap = reversal_from_coloring(g, chi_result.witness)
         assert reversal_cost(rmap) == pytest.approx(2.0)
         for seed in range(5):
-            w = WeightMatrix(linalg.random_hermitian(10, seed), "random")
-            target = weighted_adjacency(g, w)
+            w = linalg.random_hermitian(10, seed)
+            target = weighted_adjacency(g, w[g.us, g.vs])
             check = verify_reversal(rmap, target, tol=1e-9)
             assert check.ok, check.residual
 
@@ -170,7 +170,7 @@ class TestColoringMap:
             assert d[0] == 1.0
             assert d[1] == pytest.approx(np.exp(2j * np.pi * ((q - 1) * j % q) / q), abs=1e-14)
             assert np.abs(np.abs(d) - 1.0).max() <= 4 * np.finfo(float).eps
-        assert verify_reversal(rmap, weighted_adjacency(g, ones_weight(2))).ok
+        assert verify_reversal(rmap, weighted_adjacency(g, ones_weight(g))).ok
 
     def test_improper_coloring_rejected(self):
         with pytest.raises(ValueError, match="not proper"):
@@ -183,7 +183,7 @@ class TestColoringMap:
         assert reversal_cost(reversal_from_coloring(g, dsatur)) == pytest.approx(1.0)
         rmap4 = reversal_from_coloring(g, four)
         assert reversal_cost(rmap4) == pytest.approx(3.0)
-        target = weighted_adjacency(g, ones_weight(4))
+        target = weighted_adjacency(g, ones_weight(g))
         assert verify_reversal(rmap4, target).ok
 
 
@@ -282,8 +282,8 @@ class TestCostLowerBound:
     def test_sandwiched_by_chi_minus_one(self):
         g = complete(3)
         for seed in range(10):
-            w = WeightMatrix(linalg.random_hermitian(3, seed), "random")
-            target = weighted_adjacency(g, w)
+            w = linalg.random_hermitian(3, seed)
+            target = weighted_adjacency(g, w[g.us, g.vs])
             if np.linalg.norm(target) < 1e-9:
                 continue
             assert cost_lower_bound(target) <= 2.0 + 1e-8
@@ -297,7 +297,7 @@ class TestCostLowerBound:
 
     def test_any_verifying_map_costs_at_least_bound(self):
         g = petersen()
-        target = weighted_adjacency(g, ones_weight(10))
+        target = weighted_adjacency(g, ones_weight(g))
         bound = cost_lower_bound(target)
         coloring_map = reversal_from_coloring(g, exact_chi(g).witness)
         group_map = group_sign_reversal(10)

@@ -409,6 +409,10 @@ class BoundConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown method {unknown[0]!r}; known methods: {', '.join(METHODS)}")
+        for name, least in (("restarts", 1), ("iterations", 1), ("seed", 0), ("exact_limit", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name}: expected an integer >= {least}, got {value!r}")
 
 
 @dataclass

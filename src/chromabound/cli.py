@@ -168,7 +168,7 @@ def cmd_reverse(args) -> int:
     if args.weight == "ones":
         m = graphs.adjacency_matrix(g)  # M = W * A = A for the all-ones W
     else:
-        m = bounds.weighted_adjacency(g, linalg.random_hermitian(g.n, args.seed)[g.us, g.vs])
+        m = bounds.weighted_adjacency(g, linalg.random_edge_weights(g.num_edges, args.seed))
     rmap = reversal.reversal_from_coloring(g, coloring)
     check = reversal.verify_reversal(rmap, m, tol=args.tol)
     doc = {

@@ -5,18 +5,32 @@ over saturation-ordered vertices closes the gap; every pick takes the uncolored 
 highest saturation, ties by highest degree then lowest index. The state is bit-parallel
 (San Segundo 2012, *A new DSATUR-based algorithm for exact vertex coloring*): each vertex
 set is one int over the bit positions of `_bit_index`, built once per call, and lives in
-the locals of one loop, `_dsatur`, whose first descent is greedy DSATUR. `exact_chi`,
-best of 3 on one core of a shared 2-CPU Xeon, Python 3.11: about 990k nodes/s on
-Mycielski level 4, 710k on G(60, 0.5) and 560k on G(2048, 0.01).
+the locals of one loop, `_dsatur`, whose first descent is greedy DSATUR.
+
+A search still running after PARALLEL_AFTER nodes proves the rest on every CPU (module
+`split`): its subtrees below a split depth go to forked workers, one per CPU in
+os.sched_getaffinity(0) and at most MAX_WORKERS, and the same loop, over the depths above
+the split, takes their results in its own order. A subtree's result depends only on its stack prefix, best_k,
+lower and the budget left, and one is used only where those match, so `exact_chi` returns
+the one-process result node for node: the same chi, witness, node count and timeout. With
+one CPU (`taskset -c 0`) or without os.fork the search stays in one process. Best of 3,
+shared 2-CPU Xeon, Python 3.11, 10^6-node budget: Mycielski level 4 (448,615 nodes) takes
+0.47 s in one process (960k nodes/s) and 0.24 s on two CPUs (1.87M nodes/s); G(60, 0.5)
+(266k-274k nodes) 0.38-0.39 s (700k nodes/s) and 0.20-0.21 s (1.30M nodes/s); G(2048, 0.01)
+1.8 s either way (560k nodes/s), since its budget runs out inside the subtree it is in when
+it splits.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from .graphs import Coloring, Graph, is_proper
 
 DEFAULT_BUDGET = 10**6
+PARALLEL_AFTER = 20_000  # nodes a search from the root runs alone before it splits
+MAX_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -35,7 +49,7 @@ def _bit_index(adj):
     return order, [sum(1 << pos[u] for u in adj[v]) for v in order], max(map(len, adj)).bit_length()
 
 
-def _dsatur(index, best_k, lower, budget):
+def _dsatur(index, best_k, lower, budget, path=None, base=0, handoff=-1, hand_off=None):
     """DSATUR branch and bound below best_k colors: (best_k, colors or None, nodes, exhausted).
 
     has[c] masks the positions with a neighbour colored c; saturation is bit-sliced, planes[k]
@@ -44,29 +58,60 @@ def _dsatur(index, best_k, lower, budget):
     the positions that color saturated. A new node takes its least free color below the limit
     at once; one with none is counted but never pushed. The search stops at a coloring with at
     most `lower` colors or after `budget` nodes; colors is the best found, by vertex, or None.
+
+    path, if given, is a stack to start from (four sequences by depth: position, colors used
+    above it, color limit, one past its color); the search visits the node below it first and
+    never backtracks above depth `base`, so base == len(path) searches that node's subtree
+    alone; the stack lists hold the depths from `base` on. A node at depth `handoff` is not
+    searched here: hand_off(the four stack lists, depth, best_k, budget left) returns its
+    subtree's result with `exhausted` meaning cut by the budget, and the search moves on as if
+    it had searched the subtree itself. A search from the root that has not stopped after
+    PARALLEL_AFTER nodes passes the rest to `split.search_rest`.
     """
     order, nbr, num_planes = index
     n = len(order)
     has = [0] * n  # a proper coloring never needs more than n colors
     planes = [0] * num_planes
     uncolored = (1 << n) - 1
-    at_pos, at_used, at_limit, at_next, at_touched = [0] * n, [0] * n, [0] * n, [0] * n, [0] * n
+    # the stack holds the depths from `base` on; the positions and colors above it are fixed
+    size = n - base
+    at_pos, at_used, at_limit, at_next, at_touched = [0] * size, [0] * size, [0] * size, [0] * size, [0] * size
+    path = path or ((), (), (), ())
+    fixed_pos, fixed_next = list(path[0][:base]), list(path[3][:base])
+    nodes = depth = used = 0
+    for d, (p, u, limit, c) in enumerate(zip(*path)):
+        h = has[c - 1]
+        has[c - 1] = merged = h | nbr[p]
+        touched = merged ^ h
+        if d >= base:
+            at_pos[depth], at_used[depth], at_limit[depth], at_next[depth] = p, u, limit, c
+            at_touched[depth] = touched
+            depth += 1
+        k = 0
+        while touched:
+            plane = planes[k]
+            planes[k] = plane ^ touched
+            touched &= plane
+            k += 1
+        uncolored ^= 1 << p
+        used = c if c > u else u
     # a node expands only while fewer than best_k colors are in use, so no saturation
     # reaches best_k and the pick can skip the planes above `top`
     top = min((best_k - 1).bit_length(), num_planes) - 1
+    stop = size if handoff < 0 else handoff  # the depth whose nodes are not expanded here
+    pause = budget
+    if not path[0] and lower < best_k and budget > PARALLEL_AFTER:
+        # a search from the root that can prove something (greedy DSATUR stops at its first
+        # coloring) splits if it runs that long and has CPUs to split across
+        workers = _worker_count()
+        if workers > 1:
+            pause = PARALLEL_AFTER
     best_colors, exhausted = None, False
-    nodes = depth = used = 0
-    while nodes != budget:
+    while nodes != pause:
         # visit a node: `depth` positions are colored with `used` colors
         nodes += 1
-        if used < best_k:
-            if depth == n:
-                best_k = used
-                top = min((best_k - 1).bit_length(), num_planes) - 1
-                best_colors = tuple(c - 1 for _v, c in sorted(zip([order[p] for p in at_pos], at_next)))
-                if best_k <= lower:
-                    break
-            else:
+        if depth < stop:
+            if used < best_k:
                 # the uncolored position of highest saturation, then highest position
                 cand = uncolored
                 k = top
@@ -102,6 +147,25 @@ def _dsatur(index, best_k, lower, budget):
                     if c == used:
                         used += 1
                     continue
+        elif depth == handoff:
+            left = budget - nodes + 1
+            sub_k, colors, sub_nodes, cut = hand_off(at_pos, at_used, at_limit, at_next, depth, best_k, left)
+            nodes += sub_nodes - 1
+            if colors is not None:
+                best_k, best_colors = sub_k, colors
+                top = min((best_k - 1).bit_length(), num_planes) - 1
+                if best_k <= lower:
+                    break
+            if cut:
+                exhausted = True
+                break
+        elif used < best_k:
+            best_k = used
+            top = min((best_k - 1).bit_length(), num_planes) - 1
+            placed = zip([order[p] for p in fixed_pos + at_pos], fixed_next + at_next)
+            best_colors = tuple(c - 1 for _v, c in sorted(placed))
+            if best_k <= lower:
+                break
         # move to the next child of the deepest node on the stack
         while depth:
             d = depth - 1
@@ -142,8 +206,21 @@ def _dsatur(index, best_k, lower, budget):
         else:
             break
     else:
+        if nodes != budget:
+            from .split import search_rest  # imported by the first search that runs this long
+
+            stack = (at_pos[:depth], at_used[:depth], at_limit[:depth], at_next[:depth])
+            return search_rest(index, best_k, best_colors, lower, budget - nodes, stack, nodes, workers)
         exhausted = True
     return best_k, best_colors, nodes, exhausted
+
+
+def _worker_count():
+    """Worker processes for a long search: one per CPU this process may run on, at most
+    MAX_WORKERS; 1, meaning none, where os.fork or CPU affinity is missing."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), MAX_WORKERS)
 
 
 def greedy_dsatur(g: Graph, index=None) -> Coloring:

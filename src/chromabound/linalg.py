@@ -99,6 +99,13 @@ def eigen_residuals(m, w, v):
     return np.linalg.norm(r, axis=0)
 
 
+def random_edge_weights(count, seed):
+    """`count` seeded complex Gaussian weights, each distributed as an off-diagonal entry of
+    random_hermitian: real and imaginary parts of variance 1/2."""
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / np.sqrt(2.0)
+
+
 def random_hermitian(n, seed, complex_entries=True):
     """Seeded random Hermitian matrix (Gaussian entries, symmetrized)."""
     rng = np.random.default_rng(seed)

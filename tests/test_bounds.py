@@ -619,6 +619,18 @@ class TestReport:
         with pytest.raises(ValueError, match="unknown method .*; known methods: " + ", ".join(bounds.METHODS)):
             BoundConfig(methods=methods)
 
+    @pytest.mark.parametrize("field, value, least", [
+        ("restarts", 0, 1), ("restarts", -3, 1), ("iterations", 0, 1), ("seed", -2, 0), ("exact_limit", -5, 0),
+    ])
+    def test_config_rejects_out_of_range_values(self, field, value, least):
+        """The CLI refuses these values too; unrefused, exact_limit=-5 ran and noted "n > exact limit -5"."""
+        with pytest.raises(ValueError, match=f"^{field}: expected an integer >= {least}, got {value}$"):
+            BoundConfig(**{field: value})
+
+    def test_config_accepts_the_least_values(self):
+        config = BoundConfig(restarts=1, iterations=1, seed=0, exact_limit=0)
+        assert chromatic_lower_bound(petersen(), config, "petersen").lower == 3
+
     def test_document_field_order(self):
         doc = chromatic_lower_bound(complete(3), BoundConfig(restarts=1, iterations=20), "K3").to_document()
         assert list(doc) == [

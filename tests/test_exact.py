@@ -1,10 +1,13 @@
+import collections
+import os
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromabound import exact
+from chromabound import exact, split
 from chromabound.exact import exact_chi, greedy_clique, greedy_dsatur
 from chromabound.graphs import (
     Coloring,
@@ -232,6 +235,146 @@ def test_search_matches_reference_on_exact_hard(budget):
         result = exact_chi(g, budget)
         got = (result.chi, result.witness.colors, result.nodes_explored, result.timed_out)
         assert got == reference_exact_chi(g, budget)
+
+
+def _outcome(result):
+    return result.chi, result.witness.colors, result.nodes_explored, result.timed_out
+
+
+def _with_clique(g, q):
+    """g with vertices 0..q-1 joined into a clique."""
+    return Graph(g.n, g.edges | {(u, v) for u in range(q) for v in range(u + 1, q)})
+
+
+def _expire(_signum, _frame):
+    raise TimeoutError("the search did not finish within 60 s")
+
+
+@pytest.fixture
+def hand_offs(monkeypatch):
+    """Searches split after 1,000 nodes and fail after 60 s rather than hang; sets the worker
+    count; counts the crews forked, the pieces cut by the budget and the pieces that stop
+    the search at the clique bound."""
+    monkeypatch.setattr(exact, "PARALLEL_AFTER", 1_000)
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(60)
+    events = collections.Counter()
+    start, take = split._Crew.start, split._Crew.take
+
+    def counted_start(self, *args):
+        events["crews"] += 1
+        return start(self, *args)
+
+    def counted_take(self, *args):
+        k, colors, nodes, cut = result = take(self, *args)
+        events["cut"] += cut
+        events["lower"] += colors is not None and k <= self.lower
+        return result
+
+    monkeypatch.setattr(split._Crew, "start", counted_start)
+    monkeypatch.setattr(split._Crew, "take", counted_take)
+
+    def workers(count):
+        monkeypatch.setattr(exact, "_worker_count", lambda: count)
+        return events
+
+    try:
+        yield workers
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("workers, budget", [(2, 30_000), (2, 100_000), (4, 30_000)])
+def test_workers_match_one_process_on_exact_hard(hand_offs, workers, budget):
+    """Workers give the one-process result node for node where the budget ends inside a
+    piece a worker searched, and where best_k improves after the split (G(60, 0.5)), which
+    plans the rest again; four workers is more than the CPUs of a small machine."""
+    graphs = _exact_hard_shapes()
+    hand_offs(1)
+    alone = [_outcome(exact_chi(g, budget)) for g in graphs]
+    events = hand_offs(workers)
+    assert [_outcome(exact_chi(g, budget)) for g in graphs] == alone
+    assert all(timed_out for *_rest, timed_out in alone)
+    assert events["cut"] == 3
+    assert events["crews"] >= 5
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("seed, nodes", [(0, 4_572), (9, 7_054)])
+def test_workers_match_one_process_at_lower(hand_offs, workers, seed, nodes):
+    """G(60, 0.5) with a planted 11-clique: greedy DSATUR needs 12 or 13 colors, and a piece
+    searched by a worker finds an 11-coloring, which stops the search at the clique bound."""
+    g = _with_clique(erdos_renyi(60, 0.5, seed), 11)
+    hand_offs(1)
+    alone = _outcome(exact_chi(g))
+    events = hand_offs(workers)
+    assert _outcome(exact_chi(g)) == alone
+    assert (alone[0], alone[2], alone[3]) == (11, nodes, False)
+    assert events["lower"] == 1
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_worker_outlives_the_search(hand_offs):
+    events = hand_offs(2)
+    g = _exact_hard_shapes()[1]
+    for budget in (30_000, 10**6):
+        exact_chi(g, budget)
+        _assert_no_children()
+    assert events["crews"] >= 2
+
+
+def test_no_worker_outlives_a_failed_search(hand_offs, monkeypatch):
+    """The search raises at its third hand-off, while the workers search ahead."""
+    hand_offs(2)
+    take = split._Crew.take
+    calls = []
+
+    def failing(self, *args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("stopped mid-search")
+        return take(self, *args)
+
+    monkeypatch.setattr(split._Crew, "take", failing)
+    with pytest.raises(RuntimeError, match="stopped mid-search"):
+        exact_chi(_exact_hard_shapes()[0])
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("forks", [0, 1])
+def test_search_goes_on_when_fork_fails(hand_offs, monkeypatch, forks):
+    """A fork refused for lack of processes leaves fewer workers, or none, and the same result."""
+    g = _exact_hard_shapes()[1]
+    hand_offs(1)
+    alone = _outcome(exact_chi(g, 100_000))
+    events = hand_offs(2)
+    fork, calls = os.fork, []
+
+    def limited():
+        tried = calls.count(events["crews"])  # forks tried by this crew
+        calls.append(events["crews"])
+        if tried >= forks:
+            raise BlockingIOError("fork: resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", limited)
+    assert _outcome(exact_chi(g, 100_000)) == alone
+    assert events["crews"] >= 2 and len(calls) == (forks + 1) * events["crews"]
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("cpus, workers", [({0}, 1), ({0, 1}, 2), (set(range(16)), exact.MAX_WORKERS)])
+def test_worker_count_follows_affinity(monkeypatch, cpus, workers):
+    """One worker per CPU the process may run on, so `taskset -c 0` searches in one process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    assert exact._worker_count() == workers
+    monkeypatch.delattr(os, "fork")
+    assert exact._worker_count() == 1
 
 
 class TestDsatur:

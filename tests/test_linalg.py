@@ -132,3 +132,14 @@ def test_hermitian_spectrum_is_real_and_complete(seed, n):
     w = linalg.spectrum(h)
     assert w.dtype == float
     assert len(w) == n
+
+
+def test_random_edge_weights():
+    """One seeded complex weight per edge, spread as random_hermitian's off-diagonal entries:
+    E|w|^2 = 1, half of it in each part."""
+    w = linalg.random_edge_weights(20_000, 4)
+    assert w.shape == (20_000,) and w.dtype == complex
+    assert np.array_equal(w, linalg.random_edge_weights(20_000, 4))
+    assert abs(np.mean(w.real**2) - 0.5) < 0.02 and abs(np.mean(w.imag**2) - 0.5) < 0.02
+    dense = linalg.random_hermitian(200, 4)[np.triu_indices(200, 1)]
+    assert abs(np.mean(np.abs(dense) ** 2) - 1) < 0.04

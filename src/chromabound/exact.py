@@ -10,10 +10,11 @@ the locals of one loop, `_dsatur`, whose first descent is greedy DSATUR.
 A search still running after PARALLEL_AFTER nodes proves the rest on every CPU (module
 `split`): its subtrees below a split depth go to forked workers, one per CPU in
 os.sched_getaffinity(0) and at most MAX_WORKERS, and the same loop, over the depths above
-the split, takes their results in its own order. A subtree's result depends only on its stack prefix, best_k,
-lower and the budget left, and one is used only where those match, so `exact_chi` returns
-the one-process result node for node: the same chi, witness, node count and timeout. With
-one CPU (`taskset -c 0`) or without os.fork the search stays in one process. Best of 3,
+the split, takes their results in its own order. A subtree's result depends only on its
+stack prefix, best_k, lower and the budget left, and one is used only where those match,
+so `exact_chi` returns the one-process result node for node: the same chi, witness, node
+count and timeout. With one CPU (`taskset -c 0`) or without os.fork the search stays in
+one process. Best of 3,
 shared 2-CPU Xeon, Python 3.11, 10^6-node budget: Mycielski level 4 (448,615 nodes) takes
 0.47 s in one process (960k nodes/s) and 0.24 s on two CPUs (1.87M nodes/s); G(60, 0.5)
 (266k-274k nodes) 0.38-0.39 s (700k nodes/s) and 0.20-0.21 s (1.30M nodes/s); G(2048, 0.01)
@@ -63,9 +64,9 @@ def _dsatur(index, best_k, lower, budget, path=None, base=0, handoff=-1, hand_of
     above it, color limit, one past its color); the search visits the node below it first and
     never backtracks above depth `base`, so base == len(path) searches that node's subtree
     alone; the stack lists hold the depths from `base` on. A node at depth `handoff` is not
-    searched here: hand_off(the four stack lists, depth, best_k, budget left) returns its
-    subtree's result with `exhausted` meaning cut by the budget, and the search moves on as if
-    it had searched the subtree itself. A search from the root that has not stopped after
+    searched here: hand_off(its stack, as a path, best_k, budget left) returns its subtree's
+    result with `exhausted` meaning cut by the budget, and the search moves on as if it had
+    searched the subtree itself. A search from the root that has not stopped after
     PARALLEL_AFTER nodes passes the rest to `split.search_rest`.
     """
     order, nbr, num_planes = index
@@ -148,8 +149,8 @@ def _dsatur(index, best_k, lower, budget, path=None, base=0, handoff=-1, hand_of
                         used += 1
                     continue
         elif depth == handoff:
-            left = budget - nodes + 1
-            sub_k, colors, sub_nodes, cut = hand_off(at_pos, at_used, at_limit, at_next, depth, best_k, left)
+            prefix = tuple(tuple(t[:depth]) for t in (at_pos, at_used, at_limit, at_next))
+            sub_k, colors, sub_nodes, cut = hand_off(prefix, best_k, budget - nodes + 1)
             nodes += sub_nodes - 1
             if colors is not None:
                 best_k, best_colors = sub_k, colors

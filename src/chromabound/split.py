@@ -31,8 +31,7 @@ def _plan(index, best_k, lower, stack, split, budget):
     from the whole stack, with offset 1 for the node the hand-off counts again."""
     pieces = []
 
-    def record(at_pos, at_used, at_limit, at_next, depth, k, _budget):
-        prefix = tuple(tuple(t[:depth]) for t in (at_pos, at_used, at_limit, at_next))
+    def record(prefix, k, _budget):
         if not pieces and len(stack[0]) > split:
             pieces.append((prefix, stack, 1))
         else:
@@ -146,9 +145,8 @@ class _Crew:
             while body:
                 body = body[os.write(out, body):]
 
-    def take(self, at_pos, at_used, at_limit, at_next, depth, best_k, budget):
+    def take(self, prefix, best_k, budget):
         """hand_off for the search over the depths above the split: the planned piece's result."""
-        prefix = tuple(tuple(t[:depth]) for t in (at_pos, at_used, at_limit, at_next))
         j = self.taken
         if j == len(self.plan) or best_k != self.best_k or self.plan[j][0] != prefix:
             self.stop()

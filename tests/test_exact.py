@@ -2,6 +2,9 @@ import collections
 import os
 import random
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -366,6 +369,17 @@ def test_search_goes_on_when_fork_fails(hand_offs, monkeypatch, forks):
     assert _outcome(exact_chi(g, 100_000)) == alone
     assert events["crews"] >= 2 and len(calls) == (forks + 1) * events["crews"]
     _assert_no_children()
+
+
+def test_split_loads_only_when_a_search_splits():
+    """`import chromabound` and a short search leave the worker machinery unloaded."""
+    code = (
+        "import sys, chromabound; from chromabound.graphs import petersen; "
+        "chromabound.exact_chi(petersen()); print('chromabound.split' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(exact.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("cpus, workers", [({0}, 1), ({0, 1}, 2), (set(range(16)), exact.MAX_WORKERS)])

@@ -4,23 +4,26 @@ them, and taking their results in the search's own order.
 `exact._dsatur` calls `search_rest` once a search from the root has run PARALLEL_AFTER
 nodes; the module is imported then, so a process that never runs a search that long never
 loads it. Workers are forked, not spawned: each runs only `exact._dsatur` on integers it
-inherited, takes its pieces from one pipe and writes its results to another, while a
-spawned worker would start an interpreter and import numpy and the package again, about
-80 ms on a shared 2-CPU Xeon, a fifth of the 0.4 s proofs it would share.
+inherited, takes piece numbers from one pipe and writes each piece's result as one
+fixed-size record to another, shared by all workers, while a spawned worker would start an
+interpreter and import numpy and the package again, about 80 ms on a shared 2-CPU Xeon, a
+fifth of the 0.4 s proofs it would share. No coloring crosses a pipe: a piece whose worker
+found one, or which the budget cut, is searched again in the parent.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import pickle
 import signal
+import struct
 
 from . import exact
 
 PIECES_PER_WORKER = 16  # subtrees a split aims at, per worker
 PLAN_NODES = 5_000  # most nodes a split may spend planning
 MAX_PIECES = 1_024  # most subtrees in one plan: their 4-byte numbers fit one PIPE_BUF
+_RESULT = struct.Struct("<IIQ??")  # a worker's result: piece, k, nodes, cut, found a coloring
 
 
 def _plan(index, best_k, lower, stack, split, budget):
@@ -76,74 +79,55 @@ def search_rest(index, best_k, best_colors, lower, budget, stack, nodes, workers
     return sub_k, best_colors if colors is None else colors, nodes + more, cut
 
 
-def _read(fd, size):
-    """`size` bytes from a pipe, or fewer if its writers have all closed it."""
-    data = b""
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            break
-        data += chunk
-    return data
-
-
 class _Crew:
-    """Forked workers that search a plan's pieces ahead, each taking the next piece from a
-    shared pipe, and the results that the hand-off search takes from them in plan order.
+    """Forked workers that search a plan's pieces ahead, and the results that the hand-off
+    search takes from them in plan order. A crew has one task pipe, holding the plan's piece
+    numbers (4 bytes each), and one result pipe shared by its workers, to which a worker
+    writes each piece's result as one _RESULT record: piece, k, nodes, cut and whether it
+    found a coloring. The numbers, written at once, and a record each fit PIPE_BUF, so each
+    os.write is atomic, and each os.read of one number or one record returns a whole one.
 
     A piece's result depends only on its stack prefix, best_k, lower and the budget left, so
-    one is taken only when the hand-off presents the planned prefix at the planned best_k, and
-    a piece cut by its worker's budget, which is the most any piece of the plan can have, is
-    searched again here with the budget actually left. After best_k improves, the workers
-    are stopped and the rest is planned again from the hand-off where it differs.
+    one is taken only when the hand-off presents the planned prefix at the planned best_k.
+    A piece is searched again here when its worker found a coloring, which stays with the
+    worker, or used more nodes than are left, as one cut by the worker's budget, the most
+    any piece of the plan can have. After best_k improves, the workers are stopped and the
+    rest is planned again from the hand-off where it differs. Refused a pipe or a fork, a
+    crew has fewer workers, or none, and the hand-off search takes its pieces here.
     """
 
     def __init__(self, index, lower, split, workers):
         self.index, self.lower, self.split, self.workers = index, lower, split, workers
-        self.pids, self.fds = [], []
+        self.pids, self.out = [], None
 
     def start(self, plan, best_k, budget):
         """Fork the workers for `plan`, made at best_k with `budget` nodes left at its first piece."""
-        self.plan, self.best_k, self.budget = plan, best_k, budget
-        self.results, self.taken, self.outs = {}, 0, []
-        tasks, task_w = os.pipe()
-        self.fds = [tasks, task_w]
-        os.write(task_w, b"".join(j.to_bytes(4, "little") for j in range(len(plan))))  # at most PIPE_BUF
-        self._close(task_w)
-        self.notes, note_w = os.pipe()
-        self.fds += (self.notes, note_w)
-        for w in range(self.workers):
-            out, out_w = os.pipe()
-            self.fds += (out, out_w)
-            try:
+        self.plan, self.best_k, self.results, self.taken = plan, best_k, {}, 0
+        tasks = out_w = None
+        try:
+            tasks, task_w = os.pipe()
+            os.write(task_w, b"".join(j.to_bytes(4, "little") for j in range(len(plan))))  # at most PIPE_BUF
+            os.close(task_w)  # so that the task pipe runs dry
+            self.out, out_w = os.pipe()
+            for _ in range(self.workers):
                 pid = os.fork()
-            except OSError:  # out of processes: fewer workers, or none and take searches here
-                break
-            if pid == 0:
-                code = 1
-                try:
-                    for fd in self.fds:
-                        if fd not in (tasks, note_w, out_w):
-                            os.close(fd)
-                    self._work(w, tasks, note_w, out_w)
-                    code = 0
-                finally:
-                    os._exit(code)
-            self.pids.append(pid)
-            self.outs.append(out)
-            self._close(out_w)
-        self._close(tasks)
-        self._close(note_w)
-
-    def _work(self, w, tasks, notes, out):
-        """A worker: search pieces until the task pipe runs dry, noting each on the shared
-        `notes` (piece, worker, result size) before its pickled result goes to its own `out`."""
-        while task := _read(tasks, 4):
-            result = self._search(int.from_bytes(task, "little"), self.best_k, self.budget)
-            body = memoryview(pickle.dumps(result))
-            os.write(notes, task + w.to_bytes(4, "little") + len(body).to_bytes(4, "little"))
-            while body:
-                body = body[os.write(out, body):]
+                if pid == 0:
+                    code = 1
+                    try:
+                        while task := os.read(tasks, 4):
+                            j = int.from_bytes(task, "little")
+                            k, colors, nodes, cut = self._search(j, best_k, budget)
+                            os.write(out_w, _RESULT.pack(j, k, nodes, cut, colors is not None))
+                        code = 0
+                    finally:
+                        os._exit(code)
+                self.pids.append(pid)
+        except OSError:  # out of file descriptors or processes: fewer workers, or none
+            pass
+        finally:
+            for fd in (tasks, out_w):
+                if fd is not None:
+                    os.close(fd)
 
     def take(self, prefix, best_k, budget):
         """hand_off for the search over the depths above the split: the planned piece's result."""
@@ -157,16 +141,15 @@ class _Crew:
         if not self.pids:
             return self._search(j, best_k, budget)
         while j not in self.results:
-            note = _read(self.notes, 12)
-            if len(note) < 12:
+            record = os.read(self.out, _RESULT.size)
+            if not record:
                 raise RuntimeError("a search worker exited without reporting its piece")
-            piece, w, size = (int.from_bytes(note[i : i + 4], "little") for i in (0, 4, 8))
-            self.results[piece] = pickle.loads(_read(self.outs[w], size))
-        result = self.results.pop(j)
-        if result[2] > budget:
-            # more nodes than are left: search the piece again, to where the budget cuts it
+            piece, *result = _RESULT.unpack(record)
+            self.results[piece] = result
+        k, nodes, cut, found = self.results.pop(j)
+        if found or nodes > budget:
             return self._search(j, best_k, budget)
-        return result
+        return k, None, nodes, cut
 
     def _search(self, j, best_k, budget):
         """Piece j's result, searched in this process with `budget` nodes left at its hand-off."""
@@ -174,17 +157,13 @@ class _Crew:
         k, colors, nodes, cut = exact._dsatur(self.index, best_k, self.lower, budget - offset, path, self.split)
         return k, colors, nodes + offset, cut
 
-    def _close(self, fd):
-        os.close(fd)
-        self.fds.remove(fd)
-
     def stop(self):
-        """Stop and reap every worker and close every pipe end."""
+        """Stop and reap every worker and close the result pipe."""
         for pid in self.pids:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             with contextlib.suppress(ChildProcessError):  # reaped already, as under SIGCHLD ignored
                 os.waitpid(pid, 0)
-        for fd in self.fds:
-            os.close(fd)
-        self.pids, self.fds = [], []
+        if self.out is not None:
+            os.close(self.out)
+        self.pids, self.out = [], None

@@ -1,6 +1,8 @@
 import collections
+import errno
 import os
 import random
+import select
 import signal
 import subprocess
 import sys
@@ -257,7 +259,8 @@ def _expire(_signum, _frame):
 def hand_offs(monkeypatch):
     """Searches split after 1,000 nodes and fail after 60 s rather than hang; sets the worker
     count; counts the crews forked, the pieces cut by the budget and the pieces that stop
-    the search at the clique bound."""
+    the search at the clique bound; checks that the test leaves no file descriptor open."""
+    fds = os.listdir("/proc/self/fd")
     monkeypatch.setattr(exact, "PARALLEL_AFTER", 1_000)
     previous = signal.signal(signal.SIGALRM, _expire)
     signal.alarm(60)
@@ -286,6 +289,7 @@ def hand_offs(monkeypatch):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    assert os.listdir("/proc/self/fd") == fds
 
 
 @pytest.mark.parametrize("workers, budget", [(2, 30_000), (2, 100_000), (4, 30_000)])
@@ -369,6 +373,53 @@ def test_search_goes_on_when_fork_fails(hand_offs, monkeypatch, forks):
     assert _outcome(exact_chi(g, 100_000)) == alone
     assert events["crews"] >= 2 and len(calls) == (forks + 1) * events["crews"]
     _assert_no_children()
+
+
+@pytest.mark.parametrize("pipes", [0, 1])
+def test_search_goes_on_when_pipe_fails(hand_offs, monkeypatch, pipes):
+    """A pipe refused for lack of file descriptors, the task pipe or the result pipe, leaves
+    no workers and the same result; the fixture checks that the pipe opened before it is closed."""
+    g = _exact_hard_shapes()[1]
+    hand_offs(1)
+    alone = _outcome(exact_chi(g, 100_000))
+    events = hand_offs(2)
+    pipe, calls = os.pipe, []
+
+    def limited():
+        tried = calls.count(events["crews"])  # pipes tried by this crew
+        calls.append(events["crews"])
+        if tried >= pipes:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return pipe()
+
+    monkeypatch.setattr(os, "pipe", limited)
+    assert _outcome(exact_chi(g, 100_000)) == alone
+    assert events["crews"] >= 2 and len(calls) == (pipes + 1) * events["crews"]
+    _assert_no_children()
+
+
+def test_worker_exit_without_report_fails_the_search(hand_offs, monkeypatch):
+    """A worker that dies on a piece leaves the search unable to take it: it raises, and the
+    other workers are reaped."""
+    hand_offs(2)
+    search, parent = split._Crew._search, os.getpid()
+
+    def dying(self, j, *args):
+        if j == 1 and os.getpid() != parent:
+            os._exit(1)
+        return search(self, j, *args)
+
+    monkeypatch.setattr(split._Crew, "_search", dying)
+    with pytest.raises(RuntimeError, match="a search worker exited without reporting its piece"):
+        exact_chi(_exact_hard_shapes()[1], 100_000)
+    _assert_no_children()
+
+
+def test_pipe_writes_are_atomic():
+    """A worker's result record, and the task pipe's piece numbers, which the parent writes
+    whole before any worker reads, each fit one atomic pipe write."""
+    assert split._RESULT.size <= select.PIPE_BUF
+    assert 4 * split.MAX_PIECES <= select.PIPE_BUF
 
 
 def test_split_loads_only_when_a_search_splits():

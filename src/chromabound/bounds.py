@@ -411,7 +411,7 @@ class BoundConfig:
             raise ValueError(f"unknown method {unknown[0]!r}; known methods: {', '.join(METHODS)}")
         for name, least in (("restarts", 1), ("iterations", 1), ("seed", 0), ("exact_limit", 0)):
             value = getattr(self, name)
-            if value < least:
+            if not hasattr(type(value), "__index__") or value < least:
                 raise ValueError(f"{name}: expected an integer >= {least}, got {value!r}")
 
 

@@ -165,10 +165,9 @@ def cmd_reverse(args) -> int:
             f"applying a map of {terms} unitaries to a {g.n}x{g.n} target "
             f"touches {entries} entries, above the limit of {graphs.MAX_VERTICES**2}"
         )
-    if args.weight == "ones":
-        m = graphs.adjacency_matrix(g)  # M = W * A = A for the all-ones W
-    else:
-        m = bounds.weighted_adjacency(g, linalg.random_edge_weights(g.num_edges, args.seed))
+    m = bounds.weighted_adjacency(
+        g, bounds.ones_weight(g) if args.weight == "ones" else linalg.random_edge_weights(g.num_edges, args.seed)
+    )
     rmap = reversal.reversal_from_coloring(g, coloring)
     check = reversal.verify_reversal(rmap, m, tol=args.tol)
     doc = {

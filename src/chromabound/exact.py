@@ -7,19 +7,19 @@ highest saturation, ties by highest degree then lowest index. The state is bit-p
 set is one int over the bit positions of `_bit_index`, built once per call, and lives in
 the locals of one loop, `_dsatur`, whose first descent is greedy DSATUR.
 
-A search still running after PARALLEL_AFTER nodes proves the rest on every CPU (module
-`split`): its subtrees below a split depth go to forked workers, one per CPU in
-os.sched_getaffinity(0) and at most MAX_WORKERS, and the same loop, over the depths above
-the split, takes their results in its own order. A subtree's result depends only on its
-stack prefix, best_k, lower and the budget left, and one is used only where those match,
-so `exact_chi` returns the one-process result node for node: the same chi, witness, node
-count and timeout. With one CPU (`taskset -c 0`) or without os.fork the search stays in
-one process. Best of 3,
-shared 2-CPU Xeon, Python 3.11, 10^6-node budget: Mycielski level 4 (448,615 nodes) takes
-0.47 s in one process (960k nodes/s) and 0.24 s on two CPUs (1.87M nodes/s); G(60, 0.5)
-(266k-274k nodes) 0.38-0.39 s (700k nodes/s) and 0.20-0.21 s (1.30M nodes/s); G(2048, 0.01)
-1.8 s either way (560k nodes/s), since its budget runs out inside the subtree it is in when
-it splits.
+Only `exact_chi` splits a search: with a budget above PARALLEL_AFTER and more than one
+CPU, it runs `_dsatur` for PARALLEL_AFTER nodes and, if that is cut short, passes the stack
+it stopped at to `split.search_rest`, which proves the rest on every CPU: the subtrees below
+a split depth go to forked workers, one per CPU in os.sched_getaffinity(0) and at most
+MAX_WORKERS, and `_dsatur`, over the depths above, takes their results in its own order.
+A subtree's result depends only on its stack prefix, best_k, lower and the budget left, and
+one is used only where those match, so `exact_chi` returns the one-process result node for
+node: the same chi, witness, node count and timeout. With one CPU (`taskset -c 0`) or
+without os.fork the search stays in one process. Best of 3, shared 2-CPU Xeon, Python 3.11,
+10^6-node budget: Mycielski level 4 (448,615 nodes) takes 0.47 s in one process (960k
+nodes/s) and 0.24 s on two CPUs (1.87M nodes/s); G(60, 0.5) (266k-274k nodes) 0.38-0.39 s
+(700k nodes/s) and 0.20-0.21 s (1.30M nodes/s); G(2048, 0.01) 1.8 s either way (560k
+nodes/s), since its budget runs out inside the subtree it is in when it splits.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _bit_index(adj):
 
 
 def _dsatur(index, best_k, lower, budget, path=None, base=0, handoff=-1, hand_off=None):
-    """DSATUR branch and bound below best_k colors: (best_k, colors or None, nodes, exhausted).
+    """DSATUR branch and bound below best_k colors: (best_k, colors or None, nodes, exhausted, stack).
 
     has[c] masks the positions with a neighbour colored c; saturation is bit-sliced, planes[k]
     masking the positions whose count has bit k set. The stack is five lists by depth: the
@@ -66,8 +66,8 @@ def _dsatur(index, best_k, lower, budget, path=None, base=0, handoff=-1, hand_of
     alone; the stack lists hold the depths from `base` on. A node at depth `handoff` is not
     searched here: hand_off(its stack, as a path, best_k, budget left) returns its subtree's
     result with `exhausted` meaning cut by the budget, and the search moves on as if it had
-    searched the subtree itself. A search from the root that has not stopped after
-    PARALLEL_AFTER nodes passes the rest to `split.search_rest`.
+    searched the subtree itself. stack is the stack it stopped at, from depth `base` on, as
+    a path: a search from the root cut by the budget goes on from there, node for node.
     """
     order, nbr, num_planes = index
     n = len(order)
@@ -100,15 +100,8 @@ def _dsatur(index, best_k, lower, budget, path=None, base=0, handoff=-1, hand_of
     # reaches best_k and the pick can skip the planes above `top`
     top = min((best_k - 1).bit_length(), num_planes) - 1
     stop = size if handoff < 0 else handoff  # the depth whose nodes are not expanded here
-    pause = budget
-    if not path[0] and lower < best_k and budget > PARALLEL_AFTER:
-        # a search from the root that can prove something (greedy DSATUR stops at its first
-        # coloring) splits if it runs that long and has CPUs to split across
-        workers = _worker_count()
-        if workers > 1:
-            pause = PARALLEL_AFTER
     best_colors, exhausted = None, False
-    while nodes != pause:
+    while nodes != budget:
         # visit a node: `depth` positions are colored with `used` colors
         nodes += 1
         if depth < stop:
@@ -207,13 +200,8 @@ def _dsatur(index, best_k, lower, budget, path=None, base=0, handoff=-1, hand_of
         else:
             break
     else:
-        if nodes != budget:
-            from .split import search_rest  # imported by the first search that runs this long
-
-            stack = (at_pos[:depth], at_used[:depth], at_limit[:depth], at_next[:depth])
-            return search_rest(index, best_k, best_colors, lower, budget - nodes, stack, nodes, workers)
         exhausted = True
-    return best_k, best_colors, nodes, exhausted
+    return best_k, best_colors, nodes, exhausted, tuple(t[:depth] for t in (at_pos, at_used, at_limit, at_next))
 
 
 def _worker_count():
@@ -231,7 +219,7 @@ def greedy_dsatur(g: Graph, index=None) -> Coloring:
     if index is None:
         index = _bit_index(g.adjacency_lists())
     n = len(index[0])
-    num_colors, colors, _nodes, _exhausted = _dsatur(index, n + 1, n + 1, n + 1)
+    num_colors, colors, _nodes, _exhausted, _stack = _dsatur(index, n + 1, n + 1, n + 1)
     return Coloring(colors, num_colors)
 
 
@@ -250,11 +238,14 @@ def greedy_clique(g: Graph, index=None) -> list:
 
 
 def exact_chi(g: Graph, budget=DEFAULT_BUDGET, index=None, greedy=None) -> ColoringResult:
-    """Exact chromatic number unless the node budget (at least 1) runs out: greedy DSATUR,
-    the greedy clique and `_dsatur`, run again from the root below greedy, read one
-    `_bit_index`. At most `budget` nodes are explored. index, if given, is
+    """Exact chromatic number unless the node budget, an integer of at least 1, runs out:
+    greedy DSATUR, the greedy clique and `_dsatur`, run again from the root below greedy,
+    read one `_bit_index`. At most `budget` nodes are explored, those past PARALLEL_AFTER by
+    `split.search_rest` where there are workers. index, if given, is
     _bit_index(g.adjacency_lists()) and greedy is greedy_dsatur(g, index), so a caller that
     already has them does not build them again."""
+    if not hasattr(type(budget), "__index__"):  # a fractional budget is never met exactly
+        raise ValueError(f"node budget must be an integer, got {budget!r}")
     if budget < 1:
         raise ValueError(f"node budget must be >= 1, got {budget}")
     if index is None:
@@ -264,7 +255,15 @@ def exact_chi(g: Graph, budget=DEFAULT_BUDGET, index=None, greedy=None) -> Color
     lower = max(1, len(greedy_clique(g, index)))
     nodes, exhausted = 0, False
     if best_k > lower:
-        best_k, colors, nodes, exhausted = _dsatur(index, best_k, lower, budget)
+        workers = _worker_count() if budget > PARALLEL_AFTER else 1
+        alone = PARALLEL_AFTER if workers > 1 else budget  # the nodes searched before a split
+        best_k, colors, nodes, exhausted, stack = _dsatur(index, best_k, lower, alone)
+        if exhausted and alone < budget:
+            from .split import search_rest  # imported by the first search that runs this long
+
+            best_k, rest, more, exhausted = search_rest(index, best_k, lower, budget - nodes, stack, workers)
+            nodes += more
+            colors = colors if rest is None else rest
         if colors is not None:
             best_colors = colors
     if not is_proper(g, best_colors):

@@ -1,7 +1,7 @@
 """The split of a long exact search: planning its subtrees, forking the workers that search
 them, and taking their results in the search's own order.
 
-`exact._dsatur` calls `search_rest` once a search from the root has run PARALLEL_AFTER
+`exact.exact_chi` calls `search_rest` once its search from the root has run PARALLEL_AFTER
 nodes; the module is imported then, so a process that never runs a search that long never
 loads it. Workers are forked, not spawned: each runs only `exact._dsatur` on integers it
 inherited, takes piece numbers from one pipe and writes each piece's result as one
@@ -42,16 +42,16 @@ def _plan(index, best_k, lower, stack, split, budget):
         return k, None, 1, len(pieces) == MAX_PIECES
 
     start = tuple(t[:split] for t in stack)
-    _k, _colors, planned, cut = exact._dsatur(index, best_k, lower, budget, start, 0, split, record)
+    _k, _colors, planned, cut, _stack = exact._dsatur(index, best_k, lower, budget, start, 0, split, record)
     return pieces, planned, cut
 
 
-def search_rest(index, best_k, best_colors, lower, budget, stack, nodes, workers):
-    """The rest of a search from the root that stands at `stack` after `nodes` nodes, with
-    `budget` nodes left: its subtrees below the smallest split depth that gives at least
-    PIECES_PER_WORKER per worker are searched ahead by forked workers, and a search over the
-    depths above takes their results in its own order. The result is the sequential
-    search's, node for node."""
+def search_rest(index, best_k, lower, budget, stack, workers):
+    """The rest of a search from the root that stands at `stack`, a path, with `budget` nodes
+    left: (best_k, colors or None, nodes, cut) of the rest alone. Its subtrees below the
+    smallest split depth that gives at least PIECES_PER_WORKER per worker are searched ahead
+    by forked workers, and a search over the depths above takes their results in its own
+    order. The result is `exact._dsatur`'s from `stack`, node for node."""
     plan, split, planned = None, 0, 0
     for depth in range(1, len(index[0])):
         pieces, cost, cut = _plan(index, best_k, lower, stack, depth, PLAN_NODES - planned)
@@ -63,20 +63,18 @@ def search_rest(index, best_k, best_colors, lower, budget, stack, nodes, workers
         if not pieces or len(pieces) >= PIECES_PER_WORKER * workers or planned >= PLAN_NODES:
             break
     if plan is None:
-        sub_k, colors, more, cut = exact._dsatur(index, best_k, lower, budget, stack)
-    else:
-        offset = plan[0][2]
-        crew = _Crew(index, lower, split, workers)
-        try:
-            crew.start(plan, best_k, budget + offset)
-            start = tuple(t[:split] for t in stack)
-            sub_k, colors, more, cut = exact._dsatur(
-                index, best_k, lower, budget + offset, start, 0, split, crew.take
-            )
-        finally:
-            crew.stop()
-        nodes -= offset
-    return sub_k, best_colors if colors is None else colors, nodes + more, cut
+        return exact._dsatur(index, best_k, lower, budget, stack)[:4]
+    offset = plan[0][2]
+    crew = _Crew(index, lower, split, workers)
+    try:
+        crew.start(plan, best_k, budget + offset)
+        start = tuple(t[:split] for t in stack)
+        k, colors, nodes, cut, _stack = exact._dsatur(
+            index, best_k, lower, budget + offset, start, 0, split, crew.take
+        )
+    finally:
+        crew.stop()
+    return k, colors, nodes - offset, cut
 
 
 class _Crew:
@@ -154,7 +152,7 @@ class _Crew:
     def _search(self, j, best_k, budget):
         """Piece j's result, searched in this process with `budget` nodes left at its hand-off."""
         _prefix, path, offset = self.plan[j]
-        k, colors, nodes, cut = exact._dsatur(self.index, best_k, self.lower, budget - offset, path, self.split)
+        k, colors, nodes, cut, _ = exact._dsatur(self.index, best_k, self.lower, budget - offset, path, self.split)
         return k, colors, nodes + offset, cut
 
     def stop(self):

@@ -627,6 +627,12 @@ class TestReport:
         with pytest.raises(ValueError, match=f"^{field}: expected an integer >= {least}, got {value}$"):
             BoundConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, least", [("restarts", 1), ("iterations", 1), ("seed", 0), ("exact_limit", 0)])
+    def test_config_rejects_non_integer_values(self, field, least):
+        """restarts=2.5 raised TypeError in range() mid-report; the other fields ran silently."""
+        with pytest.raises(ValueError, match=f"^{field}: expected an integer >= {least}, got 2.5$"):
+            BoundConfig(**{field: 2.5})
+
     def test_config_accepts_the_least_values(self):
         config = BoundConfig(restarts=1, iterations=1, seed=0, exact_limit=0)
         assert chromatic_lower_bound(petersen(), config, "petersen").lower == 3

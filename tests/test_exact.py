@@ -321,6 +321,20 @@ def test_workers_match_one_process_at_lower(hand_offs, workers, seed, nodes):
     assert events["lower"] == 1
 
 
+def test_split_boundary(hand_offs):
+    """A search splits only with more than PARALLEL_AFTER nodes of budget: at exactly that
+    many no crew starts, and one or two nodes more give the one-process result too."""
+    graphs = _exact_hard_shapes()
+    for budget, crews in ((1_000, 0), (1_001, 3), (1_002, 3)):
+        hand_offs(1)
+        alone = [_outcome(exact_chi(g, budget)) for g in graphs]
+        events = hand_offs(2)
+        events.clear()
+        assert [_outcome(exact_chi(g, budget)) for g in graphs] == alone
+        assert [nodes for _chi, _colors, nodes, _timed_out in alone] == [budget] * 3
+        assert events["crews"] == crews
+
+
 def _assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -524,6 +538,12 @@ class TestExactChi:
         with pytest.raises(ValueError, match=f"node budget must be >= 1, got {budget}"):
             exact_chi(mycielski(mycielski(complete(2))), budget=budget)
 
+    @pytest.mark.parametrize("budget", [1000.5, 1e6, "5"])
+    def test_rejects_non_integer_budget(self, budget):
+        """A fractional budget is never met by the node count, so 1000.5 ran the whole search."""
+        with pytest.raises(ValueError, match=f"node budget must be an integer, got {budget!r}"):
+            exact_chi(erdos_renyi(60, 0.5, 10), budget=budget)
+
     def test_budget_exhaustion(self):
         g = mycielski(mycielski(complete(2)))  # needs search beyond the clique bound
         result = exact_chi(g, budget=10)
@@ -580,7 +600,7 @@ class TestExactChi:
     def test_improper_witness_raises(self, g, monkeypatch):
         """The witness check is an explicit error, kept under python -O: a search that
         returns one color for every vertex is refused."""
-        monkeypatch.setattr(exact, "_dsatur", lambda index, best_k, lower, budget: (1, (0,) * g.n, 1, False))
+        monkeypatch.setattr(exact, "_dsatur", lambda index, best_k, lower, budget: (1, (0,) * g.n, 1, False, ()))
         with pytest.raises(RuntimeError, match="improper 1-coloring"):
             exact_chi(g)
 

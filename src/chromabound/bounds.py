@@ -341,11 +341,11 @@ def optimize_weight(
     at least the ones baseline; restart r > 0 draws per-edge weights from uniform[0.5, 1.5]
     (times phases from uniform[0, 2pi) for complex weights), seeded as seed + r.
     `iterations` caps eigensolves per restart. The returned tau is the winner's score.
+    Arguments that `BoundConfig` refuses raise its ValueError.
     """
+    config = BoundConfig(restarts=restarts, iterations=iterations, seed=seed, allow_complex=allow_complex)
     edges, start = _ones_start(g)
-    return _weight_search(
-        _Prerequisites(g), edges, start, minimal_tau(start[2]), restarts, iterations, seed, allow_complex
-    )
+    return _weight_search(_Prerequisites(g), edges, start, minimal_tau(start[2]), config)
 
 
 class _Prerequisites:
@@ -369,23 +369,23 @@ class _Prerequisites:
         return greedy_dsatur(self.g, self.index)
 
 
-def _weight_search(pre, edges, start, start_tau, restarts, iterations, seed, allow_complex):
-    """`optimize_weight` on the graph of `_Prerequisites` pre from the all-ones triple
-    `start` of `_ones_start` and its tau: the winning edge values (||M||_F = 1) and the tau
-    they scored."""
+def _weight_search(pre, edges, start, start_tau, config):
+    """`optimize_weight` with the `BoundConfig` config on the graph of `_Prerequisites` pre,
+    from the all-ones triple `start` of `_ones_start` and its tau: the winning edge values
+    (||M||_F = 1) and the tau they scored."""
     g = pre.g
     best_z, best_tau = start[0], start_tau
     q = _near_integer(best_tau + 1.0)
     if q is not None and pre.greedy.num_colors <= q:
         return best_z, best_tau
-    for r_idx in range(max(1, restarts)):
+    for r_idx in range(config.restarts):
         if r_idx > 0:
-            rng = random.Random(seed + r_idx)
+            rng = random.Random(config.seed + r_idx)
             z = np.array([rng.uniform(0.5, 1.5) for _ in range(g.num_edges)])
-            if allow_complex:
+            if config.allow_complex:
                 z = z * np.exp(1j * np.array([rng.uniform(0.0, 2.0 * math.pi) for _ in range(g.num_edges)]))
             start = edges.evaluate(z)
-        z, lam = _ascend(edges, start, max(1, iterations))
+        z, lam = _ascend(edges, start, config.iterations)
         tau = minimal_tau(lam)
         if tau > best_tau + 1e-15:
             best_tau, best_z = tau, z
@@ -457,8 +457,8 @@ class BoundReport:
         }
 
 
-def _ceil_with_slack(x, slack=1e-6):
-    return int(math.ceil(x - slack))
+def _ceil_with_slack(x):
+    return int(math.ceil(x - 1e-6))
 
 
 def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_id="graph") -> BoundReport:
@@ -491,9 +491,7 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
             else:
                 report.notes.append("disconnected: Barnes bound skipped")
         if "tau-opt" in methods:
-            z, tau = _weight_search(
-                pre, edges, start, tau_ones, config.restarts, config.iterations, config.seed, config.allow_complex
-            )
+            z, tau = _weight_search(pre, edges, start, tau_ones, config)
             report.tau_optimized = tau + 1.0
             report.certificates["optimizedWeight"] = [
                 [u, v, fmt12(re), fmt12(im)]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -169,7 +168,7 @@ def cmd_reverse(args) -> int:
         g, bounds.ones_weight(g) if args.weight == "ones" else linalg.random_edge_weights(g.num_edges, args.seed)
     )
     rmap = reversal.reversal_from_coloring(g, coloring)
-    check = reversal.verify_reversal(rmap, m, tol=args.tol)
+    check = reversal.verify_reversal(rmap, m)
     doc = {
         "graphId": Path(args.input).stem,
         "numColors": coloring.num_colors,
@@ -266,17 +265,6 @@ def _int_at_least(k):
     return parse
 
 
-def _tolerance(text):
-    """argparse type: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return value
-
-
 def _add_bound_flags(p):
     p.add_argument("--method", default="all", choices=("all",) + bounds.METHODS[:-1])
     p.add_argument("--restarts", type=_int_at_least(1), default=bounds.DEFAULT_RESTARTS)
@@ -323,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--colors", default="dsatur", help="dsatur, exact, or a coloring file path")
     p.add_argument("--weight", default="ones", choices=("ones", "random"))
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--budget", type=_int_at_least(1), default=exact.DEFAULT_BUDGET)
     p.add_argument("--emit-map", default=None)
     _add_output_flags(p)

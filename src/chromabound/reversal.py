@@ -10,8 +10,8 @@ diagonal. The spectral lower bound on any map's cost is minimal tau.
 
 Targets must be traceless by the rule minimal_tau applies to a spectrum,
 |tr T| <= TAU_RTOL * ||T||_F, and a map verifies when its residual is
-within tol * ||T||_F. Both rules are relative to the target's own norm,
-so they give the same verdict for T and c * T at every scale c > 0.
+within TAU_RTOL * ||T||_F; no caller sets either. Both rules are relative
+to the target's norm, so they give T and c * T one verdict at every c > 0.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class ReversalCheck:
     residual: float
 
 
-def verify_reversal(m: SignReversalMap, target, tol=1e-9) -> ReversalCheck:
-    """Residual ||apply(m, target) + target||_F against tol * ||target||_F.
+def verify_reversal(m: SignReversalMap, target) -> ReversalCheck:
+    """Residual ||apply(m, target) + target||_F against TAU_RTOL * ||target||_F.
 
     The target must be traceless: |tr T| <= TAU_RTOL * ||T||_F.
     """
@@ -98,7 +98,7 @@ def verify_reversal(m: SignReversalMap, target, tol=1e-9) -> ReversalCheck:
     out = apply_reversal(m, target)
     out += target
     residual = float(np.linalg.norm(out))
-    return ReversalCheck(bool(residual <= tol * scale), residual)
+    return ReversalCheck(bool(residual <= TAU_RTOL * scale), residual)
 
 
 def reversal_from_coloring(g: Graph, coloring: Coloring) -> SignReversalMap:
@@ -128,8 +128,8 @@ def reversal_from_coloring(g: Graph, coloring: Coloring) -> SignReversalMap:
 
 def weyl_heisenberg_family(n) -> List[Tuple[np.ndarray, np.ndarray]]:
     """The n^2 unitaries X^a Z^b as (perm, d), identity first: ((k + a) mod n, omega^{b k})."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    if not hasattr(type(n), "__index__") or n < 1:
+        raise ValueError(f"dimension: expected an integer >= 1, got {n!r}")
     k = np.arange(n)
     return [((k + a) % n, np.exp(2j * np.pi * (b * k % n) / n)) for a in range(n) for b in range(n)]
 

@@ -146,7 +146,7 @@ def lemma1_cases(chi_table):
 
 def test_criterion_5_lemma1_construction(lemma1_cases):
     for name, target, chi, rmap in lemma1_cases:
-        check = verify_reversal(rmap, target, tol=1e-9)
+        check = verify_reversal(rmap, target)
         assert check.ok, (name, check.residual)
         assert reversal_cost(rmap) == chi - 1, name
     report(f"criterion 5: coloring maps verify with cost chi-1 in {len(lemma1_cases)} cases")
@@ -174,7 +174,7 @@ def test_criterion_7_ky_fan():
             mats = [linalg.random_hermitian(n, seed * 7 + 1000 * terms + j) for j in range(terms)]
             left = linalg.spectrum(sum(mats))
             right = sum(linalg.spectrum(m) for m in mats)
-            if not majorizes(left, right, tol=1e-8).holds:
+            if not majorizes(left, right).holds:
                 failures += 1
     assert failures == 0
     report("criterion 7: Ky Fan majorization held for 100 pairs and 100 triples")
@@ -191,7 +191,7 @@ def test_criterion_8_schur_and_group_reversal():
         n = 2 + seed % 7
         h = linalg.random_hermitian(n, 6000 + seed)
         h = h - (np.trace(h) / n) * np.eye(n)
-        check = verify_reversal(group_sign_reversal(n), h, tol=1e-9)
+        check = verify_reversal(group_sign_reversal(n), h)
         assert check.ok, check.residual
     report("criterion 8: Schur averaging and group reversal verified on 50+50 seeded matrices")
 

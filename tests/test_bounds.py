@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -23,7 +24,7 @@ from chromabound.bounds import (
     wilf_upper_bound,
 )
 from chromabound.exact import exact_chi
-from chromabound.graphs import Graph, adjacency_matrix, complete, cycle, petersen, star
+from chromabound.graphs import Graph, adjacency_matrix, complete, cycle, mycielski_tower, petersen, star
 from chromabound.majorization import minimal_tau
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
@@ -243,11 +244,15 @@ class TestOptimizeWeight:
         with pytest.raises(DegenerateGraphError):
             optimize_weight(Graph(3))
 
-    def test_empty_budget_runs_one_evaluation(self):
-        """restarts < 1 and iterations < 1 still score one start: the ones baseline."""
-        baseline = tau_bound(cycle(5), ones_weight(cycle(5))) - 1.0
-        _w, tau = optimize_weight(cycle(5), restarts=0, iterations=0)
-        assert tau == pytest.approx(baseline, abs=1e-12)
+    def test_refuses_what_bound_config_refuses(self):
+        """Out-of-range and non-integer counts raise BoundConfig's ValueError, as they do for a
+        report."""
+        g = mycielski_tower(3)
+        for name, value, least in (("restarts", 0, 1), ("restarts", -3, 1), ("restarts", 2.5, 1),
+                                   ("iterations", 0, 1), ("iterations", 2.5, 1), ("seed", -1, 0)):
+            message = f"{name}: expected an integer >= {least}, got {value!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                optimize_weight(g, **{name: value})
 
     def test_incumbent_reuses_restart_zero_start(self, monkeypatch):
         """The all-ones incumbent is restart 0's start, and the winner's tau is its score: one

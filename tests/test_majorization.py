@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from chromabound import linalg
 from chromabound.graphs import adjacency_matrix, complete, cycle, petersen
 from chromabound.majorization import (
+    TAU_RTOL,
     DegenerateSpectrumError,
     majorizes,
     minimal_tau,
@@ -90,10 +93,20 @@ class TestMajorizes:
         with pytest.raises(ValueError, match="length mismatch"):
             majorizes([1], [1, 2])
 
+    def test_infinite_entry_rejected(self):
+        """[inf, 0] would otherwise be majorized by [1, 0]."""
+        for x, y in (([np.inf, 0.0], [1.0, 0.0]), ([1.0, 0.0], [1.0, -np.inf])):
+            with pytest.raises(ValueError, match="infinity"):
+                majorizes(x, y)
+
+    def test_norm_overflow_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+            majorizes([1e200, -1e200], [1.0, -1.0])
+
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=12))
     @settings(max_examples=100, deadline=None)
     def test_any_vector_majorized_by_own_sort(self, xs):
-        assert majorizes(xs, xs, tol=1e-9).holds
+        assert majorizes(xs, xs).holds
 
 
 class TestMinimalTau:
@@ -153,13 +166,55 @@ class TestMinimalTau:
             spec = linalg.spectrum(adjacency_matrix(g))
             tau = minimal_tau(spec)
             reverse_negate = -spec[::-1]
-            assert majorizes(reverse_negate, tau * spec, tol=1e-8).holds
-            assert not majorizes(reverse_negate, (tau - 1e-5) * spec, tol=1e-9).holds
+            assert majorizes(reverse_negate, tau * spec).holds
+            assert not majorizes(reverse_negate, (tau - 1e-5) * spec).holds
 
     def test_zero_spectrum_rejected(self):
-        with pytest.raises(DegenerateSpectrumError):
-            minimal_tau([0.0, 0.0, 0.0])
+        for spec in ([0.0, 0.0, 0.0], [], [0.0]):
+            with pytest.raises(DegenerateSpectrumError):
+                minimal_tau(spec)
 
     def test_non_traceless_rejected(self):
-        with pytest.raises(ValueError, match="traceless"):
-            minimal_tau([1.0, 1.0])
+        for spec in ([1.0, 1.0], [1.0]):
+            with pytest.raises(ValueError, match="traceless"):
+                minimal_tau(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [[np.inf, -np.inf], [np.inf, 0.0, -1.0], [np.nan, 0.0], [1e308, 1e308, -1e308, -1e308]],
+    )
+    def test_non_finite_norm_rejected(self, spec):
+        """An infinity, a NaN or a norm that overflows is refused before any division."""
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="NaN or infinity"):
+            minimal_tau(spec)
+
+
+def _traceless_shapes(rng, n):
+    """Traceless vectors of length n, each centred: Gaussian, one large positive entry
+    against n - 1 equal negatives and the reverse, signed exponentials, and half 1e-12
+    entries with half unit entries."""
+    spike = np.full(n, -1.0)
+    spike[0] = n - 1.0
+    half = np.where(np.arange(n) < n // 2, 1e-12, 1.0)
+    signed = rng.choice([-1.0, 1.0], n) * rng.exponential(size=n)
+    for s in (rng.standard_normal(n), spike, -spike, signed, half):
+        yield s - s.mean()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 24, 257, 2048])
+def test_denominators_stay_above_the_skip_threshold(n):
+    """The bound that lets minimal_tau divide without a skip: for a traceless s, every
+    denominator -(sum of the m smallest), 0 < m < n, is at least ||s|| ((1 - e) / (2n) - e)
+    with e = TAU_RTOL, which exceeds e ||s||."""
+    eps = TAU_RTOL
+    rng = np.random.default_rng(n)
+    for c in (1e-100, 1e-10, 1.0, 1e10, 1e100):
+        for s in _traceless_shapes(rng, n):
+            s = -np.sort(-c * s)
+            scale = np.linalg.norm(s)
+            assert abs(s.sum()) <= eps * scale
+            denom = -np.add.accumulate(s[::-1])[:-1]
+            floor = scale * ((1.0 - eps) / (2 * n) - eps)
+            assert floor > eps * scale
+            assert denom.min() >= floor, (n, c)
+            assert 0.0 < minimal_tau(s) < math.inf

@@ -157,7 +157,7 @@ class TestColoringMap:
         for seed in range(5):
             w = linalg.random_hermitian(10, seed)
             target = weighted_adjacency(g, w[g.us, g.vs])
-            check = verify_reversal(rmap, target, tol=1e-9)
+            check = verify_reversal(rmap, target)
             assert check.ok, check.residual
 
     def test_phases_exact_at_large_q(self):
@@ -257,7 +257,7 @@ class TestGroupReversal:
         for seed in range(10):
             n = 2 + seed % 4
             h = traceless(linalg.random_hermitian(n, 70 + seed))
-            assert verify_reversal(group_sign_reversal(n), h, tol=1e-9).ok
+            assert verify_reversal(group_sign_reversal(n), h).ok
 
     def test_coloring_map_is_cheaper_on_k2(self):
         coloring_cost = reversal_cost(reversal_from_coloring(complete(2), Coloring((0, 1), 2)))
@@ -266,6 +266,12 @@ class TestGroupReversal:
     def test_dimension_one_rejected(self):
         with pytest.raises(ValueError):
             group_sign_reversal(1)
+
+    def test_non_integer_dimension_rejected(self):
+        """A non-integer dimension raises ValueError, as Graph's vertex count does."""
+        for build in (weyl_heisenberg_family, group_sign_reversal):
+            with pytest.raises(ValueError, match="expected an integer"):
+                build(2.5)
 
 
 class TestCostLowerBound:
@@ -308,7 +314,7 @@ class TestCostLowerBound:
             + tuple((0.5 * r, p, d) for r, p, d in group_map.terms),
         )
         for rmap in (coloring_map, group_map, mixture):
-            assert verify_reversal(rmap, target, tol=1e-9).ok
+            assert verify_reversal(rmap, target).ok
             assert reversal_cost(rmap) >= bound - 1e-8
 
 

@@ -60,8 +60,8 @@ def _dsatur(index, best_k, lower, budget, path=None, base=0, handoff=-1, hand_of
     at once; one with none is counted but never pushed. The search stops at a coloring with at
     most `lower` colors or after `budget` nodes; colors is the best found, by vertex, or None.
 
-    path, if given, is a stack to start from (four sequences by depth: position, colors used
-    above it, color limit, one past its color); the search visits the node below it first and
+    path, if given, is a stack to start from (three sequences by depth: position, color
+    limit, one past its color); the search visits the node below it first and
     never backtracks above depth `base`, so base == len(path) searches that node's subtree
     alone; the stack lists hold the depths from `base` on. A node at depth `handoff` is not
     searched here: hand_off(its stack, as a path, best_k, budget left) returns its subtree's
@@ -77,15 +77,15 @@ def _dsatur(index, best_k, lower, budget, path=None, base=0, handoff=-1, hand_of
     # the stack holds the depths from `base` on; the positions and colors above it are fixed
     size = n - base
     at_pos, at_used, at_limit, at_next, at_touched = [0] * size, [0] * size, [0] * size, [0] * size, [0] * size
-    path = path or ((), (), (), ())
-    fixed_pos, fixed_next = list(path[0][:base]), list(path[3][:base])
+    path = path or ((), (), ())
+    fixed_pos, fixed_next = list(path[0][:base]), list(path[2][:base])
     nodes = depth = used = 0
-    for d, (p, u, limit, c) in enumerate(zip(*path)):
+    for d, (p, limit, c) in enumerate(zip(*path)):
         h = has[c - 1]
         has[c - 1] = merged = h | nbr[p]
         touched = merged ^ h
         if d >= base:
-            at_pos[depth], at_used[depth], at_limit[depth], at_next[depth] = p, u, limit, c
+            at_pos[depth], at_used[depth], at_limit[depth], at_next[depth] = p, used, limit, c
             at_touched[depth] = touched
             depth += 1
         k = 0
@@ -95,7 +95,7 @@ def _dsatur(index, best_k, lower, budget, path=None, base=0, handoff=-1, hand_of
             touched &= plane
             k += 1
         uncolored ^= 1 << p
-        used = c if c > u else u
+        used = c if c > used else used
     # a node expands only while fewer than best_k colors are in use, so no saturation
     # reaches best_k and the pick can skip the planes above `top`
     top = min((best_k - 1).bit_length(), num_planes) - 1
@@ -142,7 +142,7 @@ def _dsatur(index, best_k, lower, budget, path=None, base=0, handoff=-1, hand_of
                         used += 1
                     continue
         elif depth == handoff:
-            prefix = tuple(tuple(t[:depth]) for t in (at_pos, at_used, at_limit, at_next))
+            prefix = tuple(tuple(t[:depth]) for t in (at_pos, at_limit, at_next))
             sub_k, colors, sub_nodes, cut = hand_off(prefix, best_k, budget - nodes + 1)
             nodes += sub_nodes - 1
             if colors is not None:
@@ -201,7 +201,7 @@ def _dsatur(index, best_k, lower, budget, path=None, base=0, handoff=-1, hand_of
             break
     else:
         exhausted = True
-    return best_k, best_colors, nodes, exhausted, tuple(t[:depth] for t in (at_pos, at_used, at_limit, at_next))
+    return best_k, best_colors, nodes, exhausted, tuple(t[:depth] for t in (at_pos, at_limit, at_next))
 
 
 def _worker_count():

@@ -118,14 +118,24 @@ class Graph:
 class Coloring:
     """Vertex coloring with colors in [0, num_colors).
 
-    Producers are expected to guarantee properness; `is_proper` checks it.
+    Producers are expected to guarantee properness; `is_proper` checks it. Colors and
+    num_colors must be integers, as a Graph's vertices must: 0.5 and 2.5 are refused.
     """
 
     colors: tuple
     num_colors: int
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
+        try:
+            object.__setattr__(self, "num_colors", operator.index(self.num_colors))
+        except TypeError:
+            raise ValueError(f"num_colors must be an integer, got {self.num_colors!r}") from None
+        colors = tuple(self.colors)
+        try:
+            object.__setattr__(self, "colors", tuple(map(operator.index, colors)))
+        except TypeError:
+            bad = next(c for c in colors if not hasattr(type(c), "__index__"))
+            raise ValueError(f"color {bad!r} is not an integer") from None
         if self.num_colors < 1:
             raise ValueError("num_colors must be positive")
         for c in self.colors:

@@ -49,11 +49,13 @@ def majorizes(x, y) -> MajorizationReport:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    px = np.cumsum(sort_descending(x))
-    py = np.cumsum(sort_descending(y))
-    slack = TAU_RTOL * max(np.linalg.norm(x), np.linalg.norm(y))
+    sx, sy = sort_descending(x), sort_descending(y)
+    with np.errstate(over="ignore"):  # an overflow is refused below, not warned of
+        slack = TAU_RTOL * max(np.linalg.norm(x), np.linalg.norm(y))
     if not math.isfinite(slack):
         raise ValueError("vector norm overflows")
+    # a finite 2-norm bounds every entry by 1.4e154, so no prefix sum overflows
+    px, py = np.cumsum(sx), np.cumsum(sy)
     sum_gap = abs(px[-1] - py[-1])
     violated = np.flatnonzero(px[:-1] > py[:-1] + slack)
     if violated.size:
@@ -74,7 +76,8 @@ def minimal_tau(spec) -> float:
     a rule that scales with it, so spec and c * spec (c > 0) give tau alike up to rounding.
     """
     s = -np.sort(-np.asarray(spec, dtype=float))
-    scale = math.sqrt(s.dot(s))  # as np.linalg.norm(s) forms it; not finite if an entry is
+    with np.errstate(over="ignore"):  # an overflow is refused below, not warned of
+        scale = math.sqrt(s.dot(s))  # as np.linalg.norm(s) forms it; not finite if an entry is
     if not math.isfinite(scale):
         raise ValueError("spectrum contains NaN or infinity, or its norm overflows")
     if scale == 0.0:

@@ -39,10 +39,10 @@ class SignReversalMap:
 
 
 def _check_term(n, r, perm, d):
-    """A positive weight, a permutation of range(n) and n phases of modulus 1."""
+    """A positive finite weight, a permutation of range(n) and n phases of modulus 1."""
     r = float(r)
-    if r <= 0.0:
-        raise ValueError(f"term weight must be positive, got {r}")
+    if not 0.0 < r < np.inf:  # also rejects NaN
+        raise ValueError(f"term weight must be positive and finite, got {r}")
     perm = np.asarray(perm)
     if perm.shape != (n,) or perm.dtype.kind not in "iu" or np.any(np.sort(perm) != np.arange(n)):
         raise ValueError(f"perm of shape {perm.shape} is not a permutation of range({n})")
@@ -169,10 +169,14 @@ def serialize_map(m: SignReversalMap) -> dict:
 def deserialize_map(doc: dict) -> SignReversalMap:
     """Read serialize_map's document; one that is not a map raises ValueError."""
     try:
-        n = int(doc["n"])
-        terms = tuple(
-            (float(t["r"]), t["perm"], [complex(re, im) for re, im in t["d"]]) for t in doc["terms"]
-        )
+        n, terms = doc["n"], doc["terms"]
+        if isinstance(n, bool) or not hasattr(type(n), "__index__"):  # JSON's true is a bool
+            raise ValueError(f"map dimension must be an integer, got {n!r}")
+        if not isinstance(terms, list) or not all(
+            isinstance(t, dict) and isinstance(t["d"], list) for t in terms
+        ):
+            raise ValueError("map terms must be a list of objects, each with a list of phases 'd'")
+        terms = tuple((float(t["r"]), t["perm"], [complex(re, im) for re, im in t["d"]]) for t in terms)
     except KeyError as exc:
         raise ValueError(f"map document has no {exc.args[0]!r} field") from None
     return SignReversalMap(n, terms)

@@ -29,16 +29,15 @@ _RESULT = struct.Struct("<IIQ??")  # a worker's result: piece, k, nodes, cut, fo
 def _plan(index, best_k, lower, stack, split, budget):
     """The subtrees that a search from `stack` hands off at depth `split`, in the order it
     reaches them while best_k holds: (pieces, planning nodes, cut by `budget`). A piece is
-    (stack prefix at the hand-off, path to search it from, offset); a stack deeper than
-    `split` is inside a subtree already, so its first piece is that subtree's rest, searched
-    from the whole stack, with offset 1 for the node the hand-off counts again."""
+    (stack prefix at the hand-off, path to search it from); a stack deeper than `split` is
+    inside a subtree already, so its first piece is that subtree's rest, searched from the
+    whole stack. Either way a piece's search counts the nodes it visits, and the hand-off
+    search counts them in place of the hand-off node: a whole subtree's root counts in its
+    piece, and the rest's hand-off node, visited before the split, in the search from the root."""
     pieces = []
 
     def record(prefix, k, _budget):
-        if not pieces and len(stack[0]) > split:
-            pieces.append((prefix, stack, 1))
-        else:
-            pieces.append((prefix, prefix, 0))
+        pieces.append((prefix, stack if not pieces and len(stack[0]) > split else prefix))
         return k, None, 1, len(pieces) == MAX_PIECES
 
     start = tuple(t[:split] for t in stack)
@@ -51,7 +50,8 @@ def search_rest(index, best_k, lower, budget, stack, workers):
     left: (best_k, colors or None, nodes, cut) of the rest alone. Its subtrees below the
     smallest split depth that gives at least PIECES_PER_WORKER per worker are searched ahead
     by forked workers, and a search over the depths above takes their results in its own
-    order. The result is `exact._dsatur`'s from `stack`, node for node."""
+    order. The result is `exact._dsatur`'s from `stack`, node for node, since each node
+    counts once: a piece's search counts its own nodes, in place of its hand-off node."""
     plan, split, planned = None, 0, 0
     for depth in range(1, len(index[0])):
         pieces, cost, cut = _plan(index, best_k, lower, stack, depth, PLAN_NODES - planned)
@@ -64,17 +64,13 @@ def search_rest(index, best_k, lower, budget, stack, workers):
             break
     if plan is None:
         return exact._dsatur(index, best_k, lower, budget, stack)[:4]
-    offset = plan[0][2]
     crew = _Crew(index, lower, split, workers)
     try:
-        crew.start(plan, best_k, budget + offset)
+        crew.start(plan, best_k, budget)
         start = tuple(t[:split] for t in stack)
-        k, colors, nodes, cut, _stack = exact._dsatur(
-            index, best_k, lower, budget + offset, start, 0, split, crew.take
-        )
+        return exact._dsatur(index, best_k, lower, budget, start, 0, split, crew.take)[:4]
     finally:
         crew.stop()
-    return k, colors, nodes - offset, cut
 
 
 class _Crew:
@@ -151,9 +147,7 @@ class _Crew:
 
     def _search(self, j, best_k, budget):
         """Piece j's result, searched in this process with `budget` nodes left at its hand-off."""
-        _prefix, path, offset = self.plan[j]
-        k, colors, nodes, cut, _ = exact._dsatur(self.index, best_k, self.lower, budget - offset, path, self.split)
-        return k, colors, nodes + offset, cut
+        return exact._dsatur(self.index, best_k, self.lower, budget, self.plan[j][1], self.split)[:4]
 
     def stop(self):
         """Stop and reap every worker and close the result pipe."""

@@ -649,6 +649,13 @@ class TestReport:
             "barnes", "exactChi", "lower", "seed", "notes", "certificates",
         ]
 
+    def test_exact_timeout_noted(self, monkeypatch):
+        """An oracle cut by its budget leaves exactChi unset and says how far it got."""
+        monkeypatch.setattr(bounds, "exact_chi", lambda g, **kwargs: exact_chi(g, 1, **kwargs))
+        report = chromatic_lower_bound(cycle(5), BoundConfig(restarts=1, iterations=10), "C5")
+        assert report.exact_chi is None
+        assert "exact oracle timed out after 1 nodes (best known 3)" in report.notes
+
     def test_exact_limit_skips_oracle(self):
         report = chromatic_lower_bound(petersen(), BoundConfig(exact_limit=5, restarts=1, iterations=10))
         assert report.exact_chi is None

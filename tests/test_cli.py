@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import chromabound
 from chromabound import graphs, linalg
 from chromabound.cli import EXIT_IMPROPER, EXIT_INPUT, EXIT_OK, EXIT_TIMEOUT, _dump_json, main
-from chromabound.graphs import complete, emit_dimacs, erdos_renyi, mycielski, parse_dimacs, petersen
+from chromabound.graphs import complete, cycle, emit_dimacs, erdos_renyi, mycielski, parse_dimacs, petersen
 
 
 @pytest.fixture
@@ -301,6 +301,14 @@ class TestReverse:
         assert doc["cost"] == pytest.approx(2.0)
         assert doc["residual"] <= 1e-12
         assert doc["ok"]
+
+    def test_exact_timeout(self, tmp_path, capsys):
+        """An exact coloring cut by --budget is no coloring to reverse: exit 4, no report."""
+        path = tmp_path / "c5.col"
+        path.write_text(emit_dimacs(cycle(5)))
+        assert main(["reverse", str(path), "--colors", "exact", "--budget", "1"]) == EXIT_TIMEOUT
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: exact oracle timed out (best known 3)\n")
 
     def test_petersen_dsatur(self, petersen_col, capsys):
         assert main(["reverse", petersen_col, "--colors", "dsatur", "--format", "json"]) == EXIT_OK

@@ -335,6 +335,28 @@ def test_split_boundary(hand_offs):
         assert events["crews"] == crews
 
 
+@pytest.mark.parametrize("plan_nodes", [1, 20])
+def test_planning_budget(hand_offs, monkeypatch, plan_nodes):
+    """Planning that runs out of PLAN_NODES keeps the deepest plan it finished: at 20 nodes
+    the Mycielski graph's plan for depth 5 is cut and depth 4's is used. With no plan, as at
+    1 node, the rest is searched in this process. Either way the result is one process's."""
+    graphs = _exact_hard_shapes()
+    hand_offs(1)
+    alone = [_outcome(exact_chi(g, 30_000)) for g in graphs]
+    monkeypatch.setattr(split, "PLAN_NODES", plan_nodes)
+    plan, cuts = split._plan, []
+
+    def counted_plan(*args):
+        pieces, planned, cut = result = plan(*args)
+        cuts.append(cut)
+        return result
+
+    monkeypatch.setattr(split, "_plan", counted_plan)
+    events = hand_offs(2)
+    assert [_outcome(exact_chi(g, 30_000)) for g in graphs] == alone
+    assert any(cuts) == (events["crews"] > 0) == (plan_nodes == 20)
+
+
 def _assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromabound.graphs import (
+    Coloring,
     DimacsError,
     Graph,
     adjacency_matrix,
@@ -198,6 +199,33 @@ class TestGenerators:
         assert generate("complete", 3).num_edges == 3
         with pytest.raises(ValueError):
             generate("torus")
+
+
+class TestColoring:
+    def test_integer_like_colors_accepted(self):
+        coloring = Coloring([np.int64(1), 0, True], np.int32(2))
+        assert coloring.colors == (1, 0, 1) and coloring.num_colors == 2
+        assert all(type(c) is int for c in (*coloring.colors, coloring.num_colors))
+
+    @pytest.mark.parametrize("num_colors", [2.5, 2.0, "2"])
+    def test_non_integer_num_colors_rejected(self, num_colors):
+        with pytest.raises(ValueError, match="num_colors must be an integer"):
+            Coloring((0, 1), num_colors)
+
+    @pytest.mark.parametrize("color", [0.5, 1.0, "1", None])
+    def test_non_integer_color_rejected(self, color):
+        """Refused, never truncated: int(0.5) would make it color 0."""
+        with pytest.raises(ValueError, match=f"color {color!r} is not an integer"):
+            Coloring((0, color), 2)
+
+    @pytest.mark.parametrize("colors, num_colors, message", [
+        ((0, 2), 2, r"color 2 outside \[0, 2\)"),
+        ((0, -1), 2, r"color -1 outside"),
+        ((), 0, "num_colors must be positive"),
+    ])
+    def test_out_of_range_rejected(self, colors, num_colors, message):
+        with pytest.raises(ValueError, match=message):
+            Coloring(colors, num_colors)
 
 
 class TestQueries:

@@ -100,8 +100,14 @@ class TestMajorizes:
                 majorizes(x, y)
 
     def test_norm_overflow_rejected(self):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+        """Refused with the ValueError, not a RuntimeWarning from the norm."""
+        with pytest.raises(ValueError, match="overflows"):
             majorizes([1e200, -1e200], [1.0, -1.0])
+
+    def test_prefix_sum_overflow_rejected(self):
+        """Vectors whose prefix sums would overflow are refused by the norm test first."""
+        with pytest.raises(ValueError, match="overflows"):
+            majorizes([1e308, 1e308, 0.0], [1e308, 1e308, 0.0])
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=12))
     @settings(max_examples=100, deadline=None)
@@ -185,7 +191,7 @@ class TestMinimalTau:
     )
     def test_non_finite_norm_rejected(self, spec):
         """An infinity, a NaN or a norm that overflows is refused before any division."""
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="NaN or infinity"):
+        with pytest.raises(ValueError, match="NaN or infinity"):
             minimal_tau(spec)
 
 

@@ -68,6 +68,12 @@ class TestMapBasics:
         with pytest.raises(ValueError, match="positive"):
             SignReversalMap(2, ((0.0, [0, 1], np.ones(2)),))
 
+    @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, r):
+        """NaN passes `r <= 0` and infinity is positive; either would make the cost nan or inf."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            SignReversalMap(2, ((r, [0, 1], np.ones(2)),))
+
     def test_non_unitary_rejected(self):
         for d in ([2.0, 2.0], [1.0, 1.0 + 1e-9], [1.0, np.nan]):
             with pytest.raises(ValueError, match="not unitary"):
@@ -358,5 +364,29 @@ class TestSerialization:
     def test_malformed_document_rejected(self, edit, message):
         doc = serialize_map(reversal_from_coloring(complete(3), Coloring((0, 1, 2), 3)))
         edit(doc["terms"][1])
+        with pytest.raises(ValueError, match=message):
+            deserialize_map(doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(n=2.7), "dimension must be an integer, got 2.7"),
+            (lambda doc: doc.update(n=True), "dimension must be an integer, got True"),
+            (lambda doc: doc.update(n="3"), "dimension must be an integer"),
+            (lambda doc: doc.update(terms=5), "terms must be a list"),
+            (lambda doc: doc.update(terms={"r": 1.0}), "terms must be a list"),
+            (lambda doc: doc["terms"].append([]), "terms must be a list of objects"),
+            (lambda doc: doc["terms"][1].update(d=1.0), "list of phases"),
+            (lambda doc: doc["terms"][1].update(r=float("nan")), "positive and finite"),
+            (lambda doc: doc["terms"][1].update(r=float("inf")), "positive and finite"),
+        ],
+        ids=["fractional-n", "boolean-n", "string-n", "number-terms", "object-terms",
+             "list-term", "number-d", "nan-r", "inf-r"],
+    )
+    def test_malformed_field_type_rejected(self, edit, message):
+        """A field of the wrong type is refused with ValueError, not truncated or a TypeError;
+        json.loads reads NaN and Infinity as floats."""
+        doc = json.loads(json.dumps(serialize_map(reversal_from_coloring(complete(3), Coloring((0, 1, 2), 3)))))
+        edit(doc)
         with pytest.raises(ValueError, match=message):
             deserialize_map(doc)

@@ -29,12 +29,15 @@ from .majorization import TAU_RTOL, minimal_tau
 
 @dataclass(frozen=True, eq=False)
 class SignReversalMap:
-    """Terms (r_j, perm_j, d_j) with r_j > 0 and unitary U_j = P_j diag(d_j)."""
+    """Terms (r_j, perm_j, d_j) with r_j > 0 and unitary U_j = P_j diag(d_j), in dimension n >= 1."""
 
     n: int
     terms: Tuple[Tuple[float, np.ndarray, np.ndarray], ...]
 
     def __post_init__(self):
+        # a bool is refused too: JSON's true would otherwise read as dimension 1
+        if isinstance(self.n, bool) or not hasattr(type(self.n), "__index__") or self.n < 1:
+            raise ValueError(f"map dimension must be an integer >= 1, got {self.n!r}")
         object.__setattr__(self, "terms", tuple(_check_term(self.n, *t) for t in self.terms))
 
 
@@ -170,8 +173,6 @@ def deserialize_map(doc: dict) -> SignReversalMap:
     """Read serialize_map's document; one that is not a map raises ValueError."""
     try:
         n, terms = doc["n"], doc["terms"]
-        if isinstance(n, bool) or not hasattr(type(n), "__index__"):  # JSON's true is a bool
-            raise ValueError(f"map dimension must be an integer, got {n!r}")
         if not isinstance(terms, list) or not all(
             isinstance(t, dict) and isinstance(t["d"], list) for t in terms
         ):
@@ -179,4 +180,6 @@ def deserialize_map(doc: dict) -> SignReversalMap:
         terms = tuple((float(t["r"]), t["perm"], [complex(re, im) for re, im in t["d"]]) for t in terms)
     except KeyError as exc:
         raise ValueError(f"map document has no {exc.args[0]!r} field") from None
+    except TypeError as exc:  # float() or complex() of something else, such as null
+        raise ValueError(f"map term weight or phase is not a number: {exc}") from None
     return SignReversalMap(n, terms)

@@ -80,6 +80,8 @@ class _Crew:
     writes each piece's result as one _RESULT record: piece, k, nodes, cut and whether it
     found a coloring. The numbers, written at once, and a record each fit PIPE_BUF, so each
     os.write is atomic, and each os.read of one number or one record returns a whole one.
+    A record's nodes are those its piece's search visited, which the hand-off search counts
+    in place of the hand-off node.
 
     A piece's result depends only on its stack prefix, best_k, lower and the budget left, so
     one is taken only when the hand-off presents the planned prefix at the planned best_k.

@@ -84,6 +84,11 @@ class TestMapBasics:
             with pytest.raises(ValueError, match="not a permutation of range"):
                 SignReversalMap(2, ((1.0, perm, np.ones(2)),))
 
+    @pytest.mark.parametrize("n", [0, -3, 2.0, True])
+    def test_dimension_rejected(self, n):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+            SignReversalMap(n, ())
+
     def test_phase_length_rejected(self):
         with pytest.raises(ValueError, match="phase vector shape"):
             SignReversalMap(2, ((1.0, [0, 1], np.ones(3)),))
@@ -370,23 +375,27 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda doc: doc.update(n=2.7), "dimension must be an integer, got 2.7"),
-            (lambda doc: doc.update(n=True), "dimension must be an integer, got True"),
+            (lambda doc: doc.update(n=2.7), "dimension must be an integer >= 1, got 2.7"),
+            (lambda doc: doc.update(n=True), "dimension must be an integer >= 1, got True"),
             (lambda doc: doc.update(n="3"), "dimension must be an integer"),
+            (lambda doc: doc.update(n=0, terms=[]), "dimension must be an integer >= 1, got 0"),
             (lambda doc: doc.update(terms=5), "terms must be a list"),
             (lambda doc: doc.update(terms={"r": 1.0}), "terms must be a list"),
             (lambda doc: doc["terms"].append([]), "terms must be a list of objects"),
             (lambda doc: doc["terms"][1].update(d=1.0), "list of phases"),
             (lambda doc: doc["terms"][1].update(r=float("nan")), "positive and finite"),
             (lambda doc: doc["terms"][1].update(r=float("inf")), "positive and finite"),
+            (lambda doc: doc["terms"][1].update(r=None), "weight or phase is not a number"),
+            (lambda doc: doc["terms"][1]["d"].__setitem__(0, ["1", 0]), "weight or phase is not a number"),
         ],
-        ids=["fractional-n", "boolean-n", "string-n", "number-terms", "object-terms",
-             "list-term", "number-d", "nan-r", "inf-r"],
+        ids=["fractional-n", "boolean-n", "string-n", "zero-n", "number-terms", "object-terms",
+             "list-term", "number-d", "nan-r", "inf-r", "null-r", "string-phase"],
     )
     def test_malformed_field_type_rejected(self, edit, message):
         """A field of the wrong type is refused with ValueError, not truncated or a TypeError;
         json.loads reads NaN and Infinity as floats."""
-        doc = json.loads(json.dumps(serialize_map(reversal_from_coloring(complete(3), Coloring((0, 1, 2), 3)))))
+        rmap = reversal_from_coloring(complete(3), Coloring((0, 1, 2), 3))
+        doc = json.loads(json.dumps(serialize_map(rmap)))
         edit(doc)
         with pytest.raises(ValueError, match=message):
             deserialize_map(doc)

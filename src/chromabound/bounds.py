@@ -19,16 +19,14 @@ incumbent, so the result never regresses below the Hoffman-style
 baseline, and it returns the edge values and the tau it scored;
 `_ascend` describes its buffers and its stop at a stationary start.
 The search is skipped where the all-ones tau + 1 already equals the color
-count of greedy DSATUR: tau_W + 1 <= chi <= that count for every W, so no
-weighting can do better (this covers K_n and every bipartite graph with
-an edge). A report builds the adjacency lists, the exact oracle's bit
-index and greedy DSATUR at most once, and the connectivity test, the skip
-test and the exact oracle share them.
+count q of a proper coloring: tau_W + 1 <= chi <= q for every W, so no
+weighting can do better. The coloring is the exact oracle's where the
+report runs it, which it then does first, and greedy DSATUR's otherwise
+(this covers K_n and every bipartite graph with an edge).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -36,7 +34,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import exact, linalg
+from . import linalg
 from .exact import exact_chi, greedy_dsatur
 from .graphs import Graph, is_connected
 from .linalg import fmt12
@@ -345,38 +343,18 @@ def optimize_weight(
     """
     config = BoundConfig(restarts=restarts, iterations=iterations, seed=seed, allow_complex=allow_complex)
     edges, start = _ones_start(g)
-    return _weight_search(_Prerequisites(g), edges, start, minimal_tau(start[2]), config)
+    return _weight_search(g, edges, start, minimal_tau(start[2]), config)
 
 
-class _Prerequisites:
-    """A graph's adjacency lists, the exact oracle's bit index and greedy DSATUR coloring,
-    each built on first use and kept for one report, so its connectivity test, skip test and
-    exact oracle share them."""
+def _weight_search(g, edges, start, start_tau, config, num_colors=None):
+    """`optimize_weight` with the `BoundConfig` config, from the all-ones triple `start` of
+    `_ones_start` and its tau: the winning edge values (||M||_F = 1) and the tau they scored.
 
-    def __init__(self, g: Graph):
-        self.g = g
-
-    @functools.cached_property
-    def adj(self):
-        return self.g.adjacency_lists()
-
-    @functools.cached_property
-    def index(self):
-        return exact._bit_index(self.adj)
-
-    @functools.cached_property
-    def greedy(self):
-        return greedy_dsatur(self.g, self.index)
-
-
-def _weight_search(pre, edges, start, start_tau, config):
-    """`optimize_weight` with the `BoundConfig` config on the graph of `_Prerequisites` pre,
-    from the all-ones triple `start` of `_ones_start` and its tau: the winning edge values
-    (||M||_F = 1) and the tau they scored."""
-    g = pre.g
+    num_colors, if given, is the color count of a proper coloring of g, the exact oracle's;
+    the skip test reads it in place of greedy DSATUR's, which uses no fewer colors."""
     best_z, best_tau = start[0], start_tau
     q = _near_integer(best_tau + 1.0)
-    if q is not None and pre.greedy.num_colors <= q:
+    if q is not None and (greedy_dsatur(g).num_colors if num_colors is None else num_colors) <= q:
         return best_z, best_tau
     for r_idx in range(config.restarts):
         if r_idx > 0:
@@ -462,11 +440,13 @@ def _ceil_with_slack(x):
 
 
 def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_id="graph") -> BoundReport:
-    """Run every requested bound and aggregate into a BoundReport."""
+    """Run every requested bound and aggregate into a BoundReport. The exact oracle, where
+    it is asked for and n <= exact_limit, runs first, so the weight search's skip test can
+    read its chi."""
     config = config or BoundConfig()
     report = BoundReport(graph_id=graph_id, n=g.n, m=g.num_edges, seed=config.seed)
     methods = set(config.methods)
-    pre = _Prerequisites(g)
+    oracle = exact_chi(g) if "exact" in methods and g.n <= config.exact_limit else None
 
     if g.num_edges == 0:
         if "wilf" in methods:
@@ -485,30 +465,27 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
         if "tau-ones" in methods:
             report.tau_ones = tau_ones + 1.0
         if "barnes" in methods:
-            if is_connected(g, pre.adj):
+            if is_connected(g):
                 report.barnes = hoffman
                 report.certificates["barnesD"] = [fmt12(lam_n)] * g.n
             else:
                 report.notes.append("disconnected: Barnes bound skipped")
         if "tau-opt" in methods:
-            z, tau = _weight_search(pre, edges, start, tau_ones, config)
+            z, tau = _weight_search(g, edges, start, tau_ones, config, None if oracle is None else oracle.chi)
             report.tau_optimized = tau + 1.0
             report.certificates["optimizedWeight"] = [
                 [u, v, fmt12(re), fmt12(im)]
                 for u, v, re, im in zip(g.us.tolist(), g.vs.tolist(), z.real.tolist(), z.imag.tolist())
             ]
     if "exact" in methods:
-        if g.n <= config.exact_limit:
-            result = exact_chi(g, index=pre.index, greedy=pre.greedy)
-            if result.timed_out:
-                report.notes.append(
-                    f"exact oracle timed out after {result.nodes_explored} nodes "
-                    f"(best known {result.chi})"
-                )
-            else:
-                report.exact_chi = result.chi
-        else:
+        if oracle is None:
             report.notes.append(f"n > exact limit {config.exact_limit}: exact chi skipped")
+        elif oracle.timed_out:
+            report.notes.append(
+                f"exact oracle timed out after {oracle.nodes_explored} nodes (best known {oracle.chi})"
+            )
+        else:
+            report.exact_chi = oracle.chi
 
     lowers = report.lower_bounds()
     report.lower = _ceil_with_slack(max(lowers)) if lowers else 1

@@ -145,8 +145,8 @@ def _coloring_for(g, spec_str, budget):
     if len(clash):
         u, v = g.us[clash[0]], g.vs[clash[0]]
         raise CliError(f"coloring is improper: edge {u}-{v} is monochromatic", EXIT_IMPROPER)
-    if min(colors) < 0:  # Coloring's own check names the label
-        graphs.Coloring(colors, max(colors) + 1)
+    if min(colors) < 0:
+        raise CliError(f"coloring file {spec_str} has a negative label, {min(colors)}")
     # labels compact to 0..q-1 in label order, so a map has q - 1 <= n - 1 terms
     rank = {c: k for k, c in enumerate(sorted(set(colors)))}
     return graphs.Coloring(tuple(rank[c] for c in colors), len(rank))

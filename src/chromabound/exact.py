@@ -237,20 +237,18 @@ def greedy_clique(g: Graph, index=None) -> list:
     return clique
 
 
-def exact_chi(g: Graph, budget=DEFAULT_BUDGET, index=None, greedy=None) -> ColoringResult:
+def exact_chi(g: Graph, budget=DEFAULT_BUDGET) -> ColoringResult:
     """Exact chromatic number unless the node budget, an integer of at least 1, runs out:
     greedy DSATUR, the greedy clique and `_dsatur`, run again from the root below greedy,
     read one `_bit_index`. At most `budget` nodes are explored, those past PARALLEL_AFTER by
-    `split.search_rest` where there are workers. index, if given, is
-    _bit_index(g.adjacency_lists()) and greedy is greedy_dsatur(g, index), so a caller that
-    already has them does not build them again."""
+    `split.search_rest` where there are workers. chi is the color count of the witness, a
+    proper coloring, also when the budget runs out."""
     if not hasattr(type(budget), "__index__"):  # a fractional budget is never met exactly
         raise ValueError(f"node budget must be an integer, got {budget!r}")
     if budget < 1:
         raise ValueError(f"node budget must be >= 1, got {budget}")
-    if index is None:
-        index = _bit_index(g.adjacency_lists())
-    seed = greedy_dsatur(g, index) if greedy is None else greedy
+    index = _bit_index(g.adjacency_lists())
+    seed = greedy_dsatur(g, index)
     best_colors, best_k = seed.colors, seed.num_colors
     lower = max(1, len(greedy_clique(g, index)))
     nodes, exhausted = 0, False

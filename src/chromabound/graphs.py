@@ -353,10 +353,9 @@ def is_proper(g: Graph, colors) -> bool:
     return not np.any(colors[g.us] == colors[g.vs])
 
 
-def is_connected(g: Graph, adj=None) -> bool:
-    """True iff every vertex is reachable from vertex 0; adj, if given, is g.adjacency_lists()."""
-    if adj is None:
-        adj = g.adjacency_lists()
+def is_connected(g: Graph) -> bool:
+    """True iff every vertex is reachable from vertex 0."""
+    adj = g.adjacency_lists()
     seen = [False] * g.n
     stack = [0]
     seen[0] = True

@@ -170,16 +170,37 @@ def serialize_map(m: SignReversalMap) -> dict:
 
 
 def deserialize_map(doc: dict) -> SignReversalMap:
-    """Read serialize_map's document; one that is not a map raises ValueError."""
+    """Read serialize_map's document; one that is not a map raises ValueError naming the
+    term and the field at fault."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"map document must be an object, got {type(doc).__name__}")
     try:
         n, terms = doc["n"], doc["terms"]
-        if not isinstance(terms, list) or not all(
-            isinstance(t, dict) and isinstance(t["d"], list) for t in terms
-        ):
-            raise ValueError("map terms must be a list of objects, each with a list of phases 'd'")
-        terms = tuple((float(t["r"]), t["perm"], [complex(re, im) for re, im in t["d"]]) for t in terms)
     except KeyError as exc:
         raise ValueError(f"map document has no {exc.args[0]!r} field") from None
-    except TypeError as exc:  # float() or complex() of something else, such as null
-        raise ValueError(f"map term weight or phase is not a number: {exc}") from None
-    return SignReversalMap(n, terms)
+    if not isinstance(terms, list):
+        raise ValueError("map terms must be a list of objects, each with a list of phases 'd'")
+    return SignReversalMap(n, tuple(_read_term(j, t) for j, t in enumerate(terms)))
+
+
+def _read_term(j, term):
+    """Term j of a map document as (r, perm, d), its fields checked for type: r and each
+    phase's re and im must be JSON numbers, not strings, booleans or null."""
+    if not isinstance(term, dict):
+        raise ValueError(f"map terms must be a list of objects; term {j} is a {type(term).__name__}")
+    for key in ("r", "perm", "d"):
+        if key not in term:
+            raise ValueError(f"map term {j} has no {key!r} field")
+    r, d = term["r"], term["d"]
+    if not _is_number(r):
+        raise ValueError(f"map term {j}: 'r' is not a number: {r!r}")
+    if not isinstance(d, list):
+        raise ValueError(f"map term {j}: 'd' must be a list of phases, got {type(d).__name__}")
+    for k, phase in enumerate(d):
+        if not (isinstance(phase, list) and len(phase) == 2 and all(map(_is_number, phase))):
+            raise ValueError(f"map term {j}: 'd' entry {k} is not a [re, im] pair of numbers: {phase!r}")
+    return float(r), term["perm"], [complex(re, im) for re, im in d]
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)

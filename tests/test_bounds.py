@@ -717,10 +717,10 @@ class TestReport:
     @pytest.mark.parametrize("g, tight", [(complete(5), True), (cycle(6), True), (cycle(5), False),
                                           (petersen(), False)], ids=["K5", "C6", "C5", "petersen"])
     def test_prerequisites_built_once(self, g, tight, exact_limit, monkeypatch):
-        """A report with every method builds the adjacency lists once, and the exact oracle's bit
-        index and greedy DSATUR at most once: Barnes's connectivity test, the skip test and the
-        exact oracle share them."""
-        lists, index, greedy = [], [], []
+        """With the exact oracle, a report builds the bit index and greedy DSATUR once each, inside
+        exact_chi, and the adjacency lists twice: for the oracle and for Barnes's connectivity
+        test. Without it, greedy DSATUR runs only for the skip test of a tight graph."""
+        lists, index, report_greedy, oracle_greedy = [], [], [], []
         inner_lists, inner_index, inner_greedy = Graph.adjacency_lists, exact._bit_index, exact.greedy_dsatur
 
         def counted_lists(self):
@@ -731,20 +731,57 @@ class TestReport:
             index.append(adj)
             return inner_index(adj)
 
-        def counted_greedy(*args):
-            greedy.append(args)
-            return inner_greedy(*args)
+        def counted_greedy(calls):
+            def wrapper(*args):
+                calls.append(args)
+                return inner_greedy(*args)
+
+            return wrapper
 
         monkeypatch.setattr(Graph, "adjacency_lists", counted_lists)
         monkeypatch.setattr(exact, "_bit_index", counted_index)
-        monkeypatch.setattr(bounds, "greedy_dsatur", counted_greedy)
-        monkeypatch.setattr(exact, "greedy_dsatur", counted_greedy)
+        monkeypatch.setattr(bounds, "greedy_dsatur", counted_greedy(report_greedy))
+        monkeypatch.setattr(exact, "greedy_dsatur", counted_greedy(oracle_greedy))
         report = chromatic_lower_bound(g, BoundConfig(restarts=2, iterations=60, exact_limit=exact_limit), "g")
-        assert len(lists) == 1
-        built = 1 if exact_limit or tight else 0  # a tight graph's skip test runs greedy DSATUR
-        assert len(index) == len(greedy) == built
         if exact_limit:
+            assert (len(lists), len(index), len(oracle_greedy), len(report_greedy)) == (2, 1, 1, 0)
             assert report.exact_chi == exact_chi(g).chi
+        else:
+            skip_test = 1 if tight else 0  # greedy DSATUR builds its own lists and index
+            assert (len(lists), len(index), len(oracle_greedy), len(report_greedy)) == (
+                1 + skip_test, skip_test, 0, skip_test)
+
+    @pytest.mark.parametrize("g", [complete(5), cycle(6)], ids=["K5", "C6"])
+    def test_tight_skip_reads_the_oracle(self, g, solver_calls, monkeypatch):
+        """The skip test reads the exact oracle's chi where the report runs it: with greedy
+        DSATUR one color above chi, K5 and C6 still skip the search, but not without the oracle."""
+        def wasteful_dsatur(g, index=None):
+            greedy = exact.greedy_dsatur(g, index)
+            return graphs.Coloring((greedy.num_colors,) + greedy.colors[1:], greedy.num_colors + 1)
+
+        monkeypatch.setattr(bounds, "greedy_dsatur", wasteful_dsatur)
+        config = BoundConfig(restarts=2, iterations=60)
+        report = chromatic_lower_bound(g, config, "g")
+        assert solver_calls == {"eigvalsh": 1, "eigh": 0, "adjacency_matrix": 0, "is_connected": 1}
+        assert report.tau_optimized == report.tau_ones
+        assert report.exact_chi == report.lower
+        chromatic_lower_bound(g, BoundConfig(restarts=2, iterations=60, exact_limit=0), "g")
+        assert solver_calls["eigvalsh"] > 2  # without the oracle the search ran: more than one solve
+
+    @pytest.mark.parametrize("allow_complex", [False, True])
+    def test_oracle_leaves_the_bounds(self, corpus, allow_complex, monkeypatch):
+        """On the corpus, a report with the exact oracle gives the same bounds and certificates,
+        bit for bit, as one without it: greedy DSATUR uses chi colors on every corpus graph."""
+        monkeypatch.setattr(bounds, "fmt12", lambda x: x)  # keep the certificates unrounded
+        kwargs = dict(restarts=2, iterations=60, seed=7, allow_complex=allow_complex)
+        for name, g in corpus:
+            with_oracle, without = (
+                chromatic_lower_bound(g, BoundConfig(exact_limit=limit, **kwargs), name) for limit in (30, 0)
+            )
+            assert with_oracle.exact_chi is not None and without.exact_chi is None, name
+            for report in (with_oracle, without):
+                report.exact_chi, report.notes = None, []
+            assert with_oracle == without, name
 
     def test_exact_alone_solves_nothing(self, solver_calls):
         report = chromatic_lower_bound(petersen(), BoundConfig(methods=("exact",)), "petersen")

@@ -249,7 +249,15 @@ class TestOversized:
             assert (doc["numColors"], doc["costTarget"], doc["ok"]) == (2, 1, True)
         labels.write_text("-1 0")
         assert main(["reverse", str(path), "--colors", str(labels)]) == EXIT_INPUT
-        assert "color -1 outside [0, 1)" in capsys.readouterr().err
+        assert f"coloring file {labels} has a negative label, -1" in capsys.readouterr().err
+
+    def test_reverse_negative_label(self, tmp_path, capsys):
+        """A negative label is refused by name, with the file, before any map is built."""
+        path, labels = tmp_path / "t.col", tmp_path / "f"
+        path.write_text(emit_dimacs(graphs.Graph(3, [(0, 1), (1, 2)])))
+        labels.write_text("0 -1 0")
+        assert main(["reverse", str(path), "--colors", str(labels)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: coloring file {labels} has a negative label, -1\n"
 
 
 class TestChi:

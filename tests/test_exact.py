@@ -1,5 +1,6 @@
 import collections
 import errno
+import functools
 import os
 import random
 import select
@@ -56,7 +57,8 @@ def brute_force_chi(g):
 # Reference search: the set-based DSATUR that the bitset index replaced. It
 # scans every uncolored vertex at each pick and keeps one set of neighbour
 # colors per vertex; its budget counts only the nodes it explores. The bitset
-# search must visit the same nodes in the same order.
+# search must visit the same nodes in the same order. A budget only cuts the
+# search short, so one reference search gives the outcome at several budgets.
 
 
 def reference_greedy_dsatur(g):
@@ -99,28 +101,38 @@ def reference_greedy_clique(g):
 
 
 class _ReferenceBudget:
-    def __init__(self, limit):
+    """Node counter for ascending budgets: where it would refuse the next node at a budget,
+    it takes snapshot() as that budget's outcome, and only the last budget stops the search."""
+
+    def __init__(self, budgets, snapshot):
         self.nodes = 0
-        self.limit = limit
+        self.limits = sorted(budgets, reverse=True)
+        self.outcomes = {}
+        self.snapshot = snapshot
         self.exhausted = False
 
     def tick(self):
-        if self.nodes == self.limit:
-            self.exhausted = True
-        else:
+        while self.limits and self.nodes == self.limits[-1]:
+            self.outcomes[self.limits.pop()] = self.snapshot()
+        if self.limits:
             self.nodes += 1
+        else:
+            self.exhausted = True
         return self.exhausted
 
 
-def reference_exact_chi(g, budget):
-    """(chi, witness colors, nodes explored, timed out) of the set-based search."""
+def reference_exact_chi(g, budgets):
+    """(chi, witness colors, nodes explored, timed out) of the set-based search at each of
+    the budgets, in their order, from one search."""
     n = g.n
     adj = [set(nbrs) for nbrs in g.adjacency_lists()]
     seed = reference_greedy_dsatur(g)
     best_colors = list(seed.colors)
     best_k = seed.num_colors
     lower = max(1, len(reference_greedy_clique(g)))
-    counter = _ReferenceBudget(budget)
+    counter = _ReferenceBudget(
+        budgets, lambda: (best_k, tuple(best_colors), counter.nodes, best_k > lower)
+    )
     colors = [-1] * n
     neighbor_colors = [set() for _ in range(n)]
     rank = [len(adj[v]) * n + n - 1 - v for v in range(n)]
@@ -174,7 +186,9 @@ def reference_exact_chi(g, budget):
 
     if best_k > lower:
         search()
-    return best_k, tuple(best_colors), counter.nodes, counter.exhausted and best_k > lower
+    # a budget the search did not reach: it ended within that budget
+    outcome = (best_k, tuple(best_colors), counter.nodes, False)
+    return [counter.outcomes.get(budget, outcome) for budget in budgets]
 
 
 def _mycielski_tower(levels):
@@ -216,13 +230,25 @@ def test_greedy_matches_reference(inputs):
         assert greedy_dsatur(g) == reference_greedy_dsatur(g)
 
 
-@pytest.mark.parametrize("budget", [50, 1000, 10**6])
+SEARCH_BUDGETS = (50, 1000, 10**6)
+EXACT_HARD_BUDGETS = (20_000, 100_000)
+
+
+@functools.cache
+def _reference_outcomes(build, budgets):
+    """Per graph of build(), a dict from each of the budgets to the reference outcome: one
+    reference search per graph serves every budget of a test."""
+    return [dict(zip(budgets, reference_exact_chi(g, budgets))) for g in build()]
+
+
+@pytest.mark.parametrize("budget", SEARCH_BUDGETS)
 @pytest.mark.parametrize("inputs", sorted(REFERENCE_INPUTS))
 def test_search_matches_reference(inputs, budget):
-    for g in REFERENCE_INPUTS[inputs]():
+    build = REFERENCE_INPUTS[inputs]
+    for g, reference in zip(build(), _reference_outcomes(build, SEARCH_BUDGETS)):
         result = exact_chi(g, budget)
         got = (result.chi, result.witness.colors, result.nodes_explored, result.timed_out)
-        assert got == reference_exact_chi(g, budget)
+        assert got == reference[budget]
         assert result.witness.num_colors == result.chi
 
 
@@ -232,14 +258,15 @@ def test_clique_matches_reference(inputs):
         assert greedy_clique(g) == reference_greedy_clique(g)
 
 
-@pytest.mark.parametrize("budget", [20_000, 100_000])
+@pytest.mark.parametrize("budget", EXACT_HARD_BUDGETS)
 def test_search_matches_reference_on_exact_hard(budget):
     """Long searches on the benchmark's shapes, relabelled: both budgets run out mid-search
     on all three graphs, after many nodes whose vertex has no free color below the limit."""
-    for g in _exact_hard_shapes():
+    references = _reference_outcomes(_exact_hard_shapes, EXACT_HARD_BUDGETS)
+    for g, reference in zip(_exact_hard_shapes(), references):
         result = exact_chi(g, budget)
         got = (result.chi, result.witness.colors, result.nodes_explored, result.timed_out)
-        assert got == reference_exact_chi(g, budget)
+        assert got == reference[budget]
 
 
 def _outcome(result):

@@ -385,11 +385,22 @@ class TestSerialization:
             (lambda doc: doc["terms"][1].update(d=1.0), "list of phases"),
             (lambda doc: doc["terms"][1].update(r=float("nan")), "positive and finite"),
             (lambda doc: doc["terms"][1].update(r=float("inf")), "positive and finite"),
-            (lambda doc: doc["terms"][1].update(r=None), "weight or phase is not a number"),
-            (lambda doc: doc["terms"][1]["d"].__setitem__(0, ["1", 0]), "weight or phase is not a number"),
+            (lambda doc: doc["terms"][1].update(r=None), "term 1: 'r' is not a number: None"),
+            (lambda doc: doc["terms"][1]["d"].__setitem__(0, ["1", 0]),
+             r"term 1: 'd' entry 0 is not a \[re, im\] pair of numbers: \['1', 0\]"),
+            (lambda doc: doc["terms"][1].update(r="1.5"), "term 1: 'r' is not a number: '1.5'"),
+            (lambda doc: doc["terms"][1]["d"].__setitem__(2, [True, 0]),
+             r"term 1: 'd' entry 2 is not a \[re, im\] pair of numbers: \[True, 0\]"),
+            (lambda doc: doc["terms"][1]["d"].__setitem__(0, [1]),
+             r"term 1: 'd' entry 0 is not a \[re, im\] pair of numbers: \[1\]"),
+            (lambda doc: doc["terms"][0]["d"].__setitem__(1, [1, 0, 0]),
+             r"term 0: 'd' entry 1 is not a \[re, im\] pair of numbers: \[1, 0, 0\]"),
+            (lambda doc: doc["terms"][1]["d"].__setitem__(1, 1.0),
+             r"term 1: 'd' entry 1 is not a \[re, im\] pair of numbers: 1.0"),
         ],
         ids=["fractional-n", "boolean-n", "string-n", "zero-n", "number-terms", "object-terms",
-             "list-term", "number-d", "nan-r", "inf-r", "null-r", "string-phase"],
+             "list-term", "number-d", "nan-r", "inf-r", "null-r", "string-phase", "string-r", "boolean-phase",
+             "short-phase", "long-phase", "number-phase"],
     )
     def test_malformed_field_type_rejected(self, edit, message):
         """A field of the wrong type is refused with ValueError, not truncated or a TypeError;
@@ -398,4 +409,9 @@ class TestSerialization:
         doc = json.loads(json.dumps(serialize_map(rmap)))
         edit(doc)
         with pytest.raises(ValueError, match=message):
+            deserialize_map(doc)
+
+    @pytest.mark.parametrize("doc", [[1, 2], "map", None, 3.0], ids=["list", "string", "null", "number"])
+    def test_non_object_document_rejected(self, doc):
+        with pytest.raises(ValueError, match="map document must be an object, got"):
             deserialize_map(doc)

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import linalg
 from .exact import exact_chi, greedy_dsatur
-from .graphs import Graph, is_connected
+from .graphs import Graph, _count, is_connected
 from .linalg import fmt12
 from .majorization import minimal_tau
 
@@ -388,9 +388,7 @@ class BoundConfig:
         if unknown:
             raise ValueError(f"unknown method {unknown[0]!r}; known methods: {', '.join(METHODS)}")
         for name, least in (("restarts", 1), ("iterations", 1), ("seed", 0), ("exact_limit", 0)):
-            value = getattr(self, name)
-            if not hasattr(type(value), "__index__") or value < least:
-                raise ValueError(f"{name}: expected an integer >= {least}, got {value!r}")
+            setattr(self, name, _count(getattr(self, name), name, least))
 
 
 @dataclass

@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .graphs import Coloring, Graph, is_proper
+from .graphs import Coloring, Graph, _count, is_proper
 
 DEFAULT_BUDGET = 10**6
 PARALLEL_AFTER = 20_000  # nodes a search from the root runs alone before it splits
@@ -243,10 +243,7 @@ def exact_chi(g: Graph, budget=DEFAULT_BUDGET) -> ColoringResult:
     read one `_bit_index`. At most `budget` nodes are explored, those past PARALLEL_AFTER by
     `split.search_rest` where there are workers. chi is the color count of the witness, a
     proper coloring, also when the budget runs out."""
-    if not hasattr(type(budget), "__index__"):  # a fractional budget is never met exactly
-        raise ValueError(f"node budget must be an integer, got {budget!r}")
-    if budget < 1:
-        raise ValueError(f"node budget must be >= 1, got {budget}")
+    budget = _count(budget, "node budget", 1)
     index = _bit_index(g.adjacency_lists())
     seed = greedy_dsatur(g, index)
     best_colors, best_k = seed.colors, seed.num_colors

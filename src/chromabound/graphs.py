@@ -3,7 +3,12 @@ any kind in `GENERATORS` and refuses more than `MAX_VERTICES` vertices before bu
 
 A `Graph` stores its edges once, as endpoint arrays us < vs in ascending (u, v) order,
 and every module reads them there: the edge matrices of `bounds`, certificates, DIMACS
-output, the adjacency matrix and lists, and the properness check."""
+output, the adjacency matrix and lists, and the properness check.
+
+Every count and seed a caller passes in (a Graph's n, a Coloring's num_colors, the
+generators' parameters, `BoundConfig`'s counts, `exact_chi`'s budget and a map's
+dimension) is read by `_count`: an integer, Python's or numpy's but not a bool, of at
+least the least value, stored as a Python int, or ValueError naming it."""
 
 from __future__ import annotations
 
@@ -36,6 +41,16 @@ class DimacsError(ValueError):
         self.line_no = line_no
 
 
+def _count(value, what, least):
+    """value as a Python int, if it is an integer (anything with __index__ but a bool) of at
+    least `least`; else ValueError naming `what`."""
+    if not isinstance(value, (bool, np.bool_)) and hasattr(type(value), "__index__"):
+        count = operator.index(value)
+        if count >= least:
+            return count
+    raise ValueError(f"{what}: expected an integer >= {least}, got {value!r}")
+
+
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
@@ -51,12 +66,7 @@ class Graph:
     """
 
     def __init__(self, n, edges=()):
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise ValueError(f"vertex count must be an integer, got {n!r}") from None
-        if n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {n}")
+        n = _count(n, "vertex count", 1)
         limit = math.isqrt(np.iinfo(np.intp).max)  # edges are keyed lo * n + hi in intp
         if n > limit:
             raise ValueError(f"vertex count {n} exceeds {limit}, the limit for intp edge keys")
@@ -126,18 +136,13 @@ class Coloring:
     num_colors: int
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "num_colors", operator.index(self.num_colors))
-        except TypeError:
-            raise ValueError(f"num_colors must be an integer, got {self.num_colors!r}") from None
+        object.__setattr__(self, "num_colors", _count(self.num_colors, "num_colors", 1))
         colors = tuple(self.colors)
         try:
             object.__setattr__(self, "colors", tuple(map(operator.index, colors)))
         except TypeError:
             bad = next(c for c in colors if not hasattr(type(c), "__index__"))
             raise ValueError(f"color {bad!r} is not an integer") from None
-        if self.num_colors < 1:
-            raise ValueError("num_colors must be positive")
         for c in self.colors:
             if not (0 <= c < self.num_colors):
                 raise ValueError(f"color {c} outside [0, {self.num_colors})")
@@ -211,27 +216,25 @@ def emit_dimacs(g: Graph, comment=None) -> str:
 
 
 def complete(n) -> Graph:
-    if n < 1:
-        raise ValueError("complete graph needs n >= 1")
+    n = _count(n, "complete n", 1)
     return Graph(n, list(combinations(range(n), 2)))
 
 
 def cycle(n) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
+    n = _count(n, "cycle n", 3)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star(n) -> Graph:
     """Star K_{1,n-1}: vertex 0 adjacent to all others."""
-    if n < 2:
-        raise ValueError("star needs n >= 2")
+    n = _count(n, "star n", 2)
     return Graph(n, [(0, i) for i in range(1, n)])
 
 
 def kneser(n, k) -> Graph:
     """Kneser graph: k-subsets of [n], adjacent iff disjoint."""
-    if k < 1 or 2 * k > n:
+    n, k = _count(n, "kneser n", 2), _count(k, "kneser k", 1)
+    if 2 * k > n:
         raise ValueError(f"kneser needs 1 <= k <= n/2, got n={n}, k={k}")
     subsets = [frozenset(s) for s in combinations(range(n), k)]
     pairs = combinations(range(len(subsets)), 2)
@@ -251,9 +254,8 @@ def mycielski(base: Graph) -> Graph:
 
 
 def erdos_renyi(n, p, seed) -> Graph:
-    """G(n, p) with edges drawn in fixed pair order from random.Random(seed)."""
-    if n < 1:
-        raise ValueError("erdos_renyi needs n >= 1")
+    """G(n, p) with edges drawn in fixed pair order from random.Random(seed), seed >= 0."""
+    n, seed = _count(n, "erdos-renyi n", 1), _count(seed, "erdos-renyi seed", 0)
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = random.Random(seed)
@@ -262,8 +264,7 @@ def erdos_renyi(n, p, seed) -> Graph:
 
 def mycielski_tower(levels) -> Graph:
     """Mycielski's construction `levels` times over K2: chi = levels + 2, 3 * 2^levels - 1 vertices."""
-    if levels < 1:
-        raise ValueError(f"mycielski tower needs levels >= 1, got {levels}")
+    levels = _count(levels, "mycielski levels", 1)
     g = complete(2)
     for _ in range(levels):
         g = mycielski(g)

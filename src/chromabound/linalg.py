@@ -10,14 +10,16 @@ steps cost about as much as LAPACK: at n = 10 on a 2-CPU Xeon, eigvalsh takes
 signatures are the same from numpy 1.24, the declared floor, through 2.x; the
 errstate context is what turns their NaN-and-invalid-flag failure into
 LinAlgError, and `eigensolve` makes that check itself. The public `eigh`
-and `spectrum` validate their input first: square, finite, and Hermitian up to
-a deviation of HERMITIAN_RTOL times its own Frobenius norm. Like every matrix
+and `spectrum` validate their input first: square, finite, of finite ||M||_F,
+and Hermitian up to a deviation of HERMITIAN_RTOL times ||M||_F. Like every matrix
 check in the package, that rule has no absolute floor, so it means the same at
 every scale. UNITARY_TOL alone is absolute: the sign-reversal maps compare
 each phase's ||d_k| - 1| with it, and that has the fixed scale of 1.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -49,8 +51,11 @@ def hermitize(m):
     if not np.iscomplexobj(m) or not np.any(m.imag):
         m = m.real.astype(float)
     mh = m.conj().T
-    dev = np.linalg.norm(m - mh)
-    if dev > HERMITIAN_RTOL * np.linalg.norm(m):
+    with np.errstate(over="ignore"):  # an overflow is refused below, not warned of
+        scale, dev = np.linalg.norm(m), np.linalg.norm(m - mh)
+    if not math.isfinite(scale):
+        raise ValueError("matrix norm overflows")
+    if dev > HERMITIAN_RTOL * scale:  # dev <= 2 ||M||_F, so an inf dev is an overflow: refused
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
     return (m + mh) / 2.0
 

@@ -6,23 +6,26 @@ as an n x n matrix, so (U^H T U)_ij = conj(d_i) T[perm_i, perm_j] d_j
 costs O(n^2). The coloring-derived map (cost one less than the number
 of colors) takes powers of a root-of-unity diagonal, and the group map
 (cost n^2 - 1) the Weyl-Heisenberg family X^a Z^b, each a shifted
-diagonal. The spectral lower bound on any map's cost is minimal tau.
+diagonal. The spectral lower bound on any map's cost is minimal tau. A map
+refuses a term that is not one with a ValueError that begins `map term j: `.
 
-Targets must be traceless by the rule minimal_tau applies to a spectrum,
-|tr T| <= TAU_RTOL * ||T||_F, and a map verifies when its residual is
-within TAU_RTOL * ||T||_F; no caller sets either. Both rules are relative
-to the target's norm, so they give T and c * T one verdict at every c > 0.
+Targets must have a finite Frobenius norm and be traceless by the rule
+minimal_tau applies to a spectrum, |tr T| <= TAU_RTOL * ||T||_F, and a map
+verifies when its residual is within TAU_RTOL * ||T||_F; no caller sets
+either. Both rules are relative to the target's norm, so they give T and
+c * T one verdict at every c > 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from . import linalg
-from .graphs import Coloring, Graph, is_proper
+from .graphs import Coloring, Graph, _count, is_proper
 from .linalg import fmt12
 from .majorization import TAU_RTOL, minimal_tau
 
@@ -35,26 +38,24 @@ class SignReversalMap:
     terms: Tuple[Tuple[float, np.ndarray, np.ndarray], ...]
 
     def __post_init__(self):
-        # a bool is refused too: JSON's true would otherwise read as dimension 1
-        if isinstance(self.n, bool) or not hasattr(type(self.n), "__index__") or self.n < 1:
-            raise ValueError(f"map dimension must be an integer >= 1, got {self.n!r}")
-        object.__setattr__(self, "terms", tuple(_check_term(self.n, *t) for t in self.terms))
+        object.__setattr__(self, "n", _count(self.n, "map dimension", 1))
+        object.__setattr__(self, "terms", tuple(_check_term(j, self.n, *t) for j, t in enumerate(self.terms)))
 
 
-def _check_term(n, r, perm, d):
-    """A positive finite weight, a permutation of range(n) and n phases of modulus 1."""
+def _check_term(j, n, r, perm, d):
+    """Term j: a positive finite weight, a permutation of range(n) and n phases of modulus 1."""
     r = float(r)
     if not 0.0 < r < np.inf:  # also rejects NaN
-        raise ValueError(f"term weight must be positive and finite, got {r}")
+        raise ValueError(f"map term {j}: weight must be positive and finite, got {r}")
     perm = np.asarray(perm)
     if perm.shape != (n,) or perm.dtype.kind not in "iu" or np.any(np.sort(perm) != np.arange(n)):
-        raise ValueError(f"perm of shape {perm.shape} is not a permutation of range({n})")
+        raise ValueError(f"map term {j}: perm of shape {perm.shape} is not a permutation of range({n})")
     d = np.asarray(d, dtype=complex)
     if d.shape != (n,):
-        raise ValueError(f"phase vector shape {d.shape} != ({n},)")
+        raise ValueError(f"map term {j}: phase vector shape {d.shape} != ({n},)")
     dev = np.max(np.abs(np.abs(d) - 1.0), initial=0.0)
     if not dev <= linalg.UNITARY_TOL:  # also rejects NaN
-        raise ValueError(f"term is not unitary (max ||d_k| - 1| = {dev:.3e})")
+        raise ValueError(f"map term {j}: not unitary (max ||d_k| - 1| = {dev:.3e})")
     return r, perm, d
 
 
@@ -94,13 +95,17 @@ def verify_reversal(m: SignReversalMap, target) -> ReversalCheck:
     The target must be traceless: |tr T| <= TAU_RTOL * ||T||_F.
     """
     target = np.asarray(target)
-    scale = np.linalg.norm(target)
+    with np.errstate(over="ignore"):  # an overflow is refused below, not warned of
+        scale = np.linalg.norm(target)
+    if not math.isfinite(scale):
+        raise ValueError("target contains NaN or infinity, or its norm overflows")
     trace = np.trace(target)
     if abs(trace) > TAU_RTOL * scale:
         raise ValueError(f"target is not traceless (trace {trace:.3e})")
     out = apply_reversal(m, target)
     out += target
-    residual = float(np.linalg.norm(out))
+    with np.errstate(over="ignore"):  # a residual that overflows is inf, and fails the check
+        residual = float(np.linalg.norm(out))
     return ReversalCheck(bool(residual <= TAU_RTOL * scale), residual)
 
 
@@ -131,8 +136,7 @@ def reversal_from_coloring(g: Graph, coloring: Coloring) -> SignReversalMap:
 
 def weyl_heisenberg_family(n) -> List[Tuple[np.ndarray, np.ndarray]]:
     """The n^2 unitaries X^a Z^b as (perm, d), identity first: ((k + a) mod n, omega^{b k})."""
-    if not hasattr(type(n), "__index__") or n < 1:
-        raise ValueError(f"dimension: expected an integer >= 1, got {n!r}")
+    n = _count(n, "dimension", 1)
     k = np.arange(n)
     return [((k + a) % n, np.exp(2j * np.pi * (b * k % n) / n)) for a in range(n) for b in range(n)]
 
@@ -149,8 +153,7 @@ def group_sign_reversal(n) -> SignReversalMap:
 
     Negates every traceless Hermitian matrix; cost n^2 - 1.
     """
-    if n < 2:
-        raise ValueError("group reversal needs dimension >= 2")
+    n = _count(n, "dimension", 2)
     family = weyl_heisenberg_family(n)
     return SignReversalMap(n, tuple((1.0, perm, d) for perm, d in family[1:]))
 

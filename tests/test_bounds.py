@@ -638,6 +638,15 @@ class TestReport:
         with pytest.raises(ValueError, match=f"^{field}: expected an integer >= {least}, got 2.5$"):
             BoundConfig(**{field: 2.5})
 
+    def test_numpy_seed_reads_as_its_int(self):
+        """np.int64(3) passed BoundConfig, then random.Random refused it mid-report."""
+        config = BoundConfig(seed=np.int64(3))
+        assert type(config.seed) is int
+        report = chromatic_lower_bound(cycle(7), config, "C7").to_document()
+        assert report == chromatic_lower_bound(cycle(7), BoundConfig(seed=3), "C7").to_document()
+        _z, tau = optimize_weight(petersen(), seed=np.int64(1))
+        assert tau == optimize_weight(petersen(), seed=1)[1]
+
     def test_config_accepts_the_least_values(self):
         config = BoundConfig(restarts=1, iterations=1, seed=0, exact_limit=0)
         assert chromatic_lower_bound(petersen(), config, "petersen").lower == 3

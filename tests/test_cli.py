@@ -66,6 +66,11 @@ class TestGen:
         assert main(["gen"] + params) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_negative_seed_refused(self, capsys):
+        """random.Random reads a seed as its absolute value, so -1 built seed 1's graph."""
+        assert main(["gen", "erdos-renyi", "10", "0.5", "-1"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: erdos-renyi seed: expected an integer >= 0, got -1\n"
+
     def test_integral_float_literal(self, capsys):
         assert main(["gen", "complete", "1e1"]) == EXIT_OK
         assert parse_dimacs(capsys.readouterr().out) == complete(10)

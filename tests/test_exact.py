@@ -584,13 +584,13 @@ class TestExactChi:
     @pytest.mark.parametrize("budget", [0, -1])
     def test_rejects_budget_below_one(self, budget):
         """A budget below 1 is refused, not read as no limit at all."""
-        with pytest.raises(ValueError, match=f"node budget must be >= 1, got {budget}"):
+        with pytest.raises(ValueError, match=f"node budget: expected an integer >= 1, got {budget}"):
             exact_chi(mycielski(mycielski(complete(2))), budget=budget)
 
     @pytest.mark.parametrize("budget", [1000.5, 1e6, "5"])
     def test_rejects_non_integer_budget(self, budget):
         """A fractional budget is never met by the node count, so 1000.5 ran the whole search."""
-        with pytest.raises(ValueError, match=f"node budget must be an integer, got {budget!r}"):
+        with pytest.raises(ValueError, match=f"node budget: expected an integer >= 1, got {budget!r}"):
             exact_chi(erdos_renyi(60, 0.5, 10), budget=budget)
 
     def test_budget_exhaustion(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,9 @@ from chromabound.graphs import (
     petersen,
     star,
 )
+from chromabound.bounds import BoundConfig
+from chromabound.exact import exact_chi
+from chromabound.reversal import SignReversalMap, group_sign_reversal, weyl_heisenberg_family
 
 
 class TestGraphInvariants:
@@ -40,7 +44,7 @@ class TestGraphInvariants:
         "n, edges, message",
         [(3, [(0, 1.5)], "endpoint 1.5 "), (3, [(0.9, 2)], "endpoint 0.9 "), (3, [("1", "2")], "endpoint '1' "),
          (3, [(0, 1), (1, 2.0)], "endpoint 2.0 "), (3, np.array([[0.0, 1.0]]), "endpoint np.float64\\(0.0\\)"),
-         (2.5, [(0, 1)], "vertex count must be an integer, got 2.5"), ("3", [], "got '3'")],
+         (2.5, [(0, 1)], "vertex count: expected an integer >= 1, got 2.5"), ("3", [], "got '3'")],
     )
     def test_rejects_non_integral_vertices(self, n, edges, message):
         """An endpoint or n that is not an integer is refused, never truncated or parsed."""
@@ -209,7 +213,7 @@ class TestColoring:
 
     @pytest.mark.parametrize("num_colors", [2.5, 2.0, "2"])
     def test_non_integer_num_colors_rejected(self, num_colors):
-        with pytest.raises(ValueError, match="num_colors must be an integer"):
+        with pytest.raises(ValueError, match="num_colors: expected an integer >= 1"):
             Coloring((0, 1), num_colors)
 
     @pytest.mark.parametrize("color", [0.5, 1.0, "1", None])
@@ -221,11 +225,47 @@ class TestColoring:
     @pytest.mark.parametrize("colors, num_colors, message", [
         ((0, 2), 2, r"color 2 outside \[0, 2\)"),
         ((0, -1), 2, r"color -1 outside"),
-        ((), 0, "num_colors must be positive"),
+        ((), 0, "num_colors: expected an integer >= 1, got 0"),
     ])
     def test_out_of_range_rejected(self, colors, num_colors, message):
         with pytest.raises(ValueError, match=message):
             Coloring(colors, num_colors)
+
+
+# Every count and seed a caller passes in: the name its ValueError gives it, its least value,
+# and a call that reads the value back, or reads a count that the value determines.
+COUNTS = [
+    ("vertex count", 1, lambda v: Graph(v).n),
+    ("num_colors", 1, lambda v: Coloring((), v).num_colors),
+    ("complete n", 1, lambda v: complete(v).n),
+    ("cycle n", 3, lambda v: cycle(v).n),
+    ("star n", 2, lambda v: star(v).n),
+    ("kneser n", 2, lambda v: kneser(v, 1).n),
+    ("kneser k", 1, lambda v: kneser(4, v).n),
+    ("mycielski levels", 1, lambda v: mycielski_tower(v).n),
+    ("erdos-renyi n", 1, lambda v: erdos_renyi(v, 0.5, 1).n),
+    ("erdos-renyi seed", 0, lambda v: erdos_renyi(12, 0.5, v).num_edges),
+    ("restarts", 1, lambda v: BoundConfig(restarts=v).restarts),
+    ("iterations", 1, lambda v: BoundConfig(iterations=v).iterations),
+    ("seed", 0, lambda v: BoundConfig(seed=v).seed),
+    ("exact_limit", 0, lambda v: BoundConfig(exact_limit=v).exact_limit),
+    ("node budget", 1, lambda v: exact_chi(cycle(5), budget=v).nodes_explored),
+    ("map dimension", 1, lambda v: SignReversalMap(v, ()).n),
+    ("dimension", 1, lambda v: len(weyl_heisenberg_family(v))),
+    ("dimension", 2, lambda v: group_sign_reversal(v).n),
+]
+
+
+@pytest.mark.parametrize("what, least, call", COUNTS, ids=[f"{w} >= {k}" for w, k, _ in COUNTS])
+def test_one_rule_for_every_count(what, least, call):
+    """A bool, a float (integral or not), a string and a value below the least are refused,
+    each with the same message naming the parameter; a numpy integer is read as a Python int.
+    The builders raised TypeError on a float n, and erdos_renyi drew from a float seed."""
+    for bad in (True, 2.5, float(least), "3", least - 1):
+        with pytest.raises(ValueError, match=f"^{re.escape(what)}: expected an integer >= {least}, got {bad!r}$"):
+            call(bad)
+    got = call(np.int64(least))
+    assert type(got) is int and got == call(least)
 
 
 class TestQueries:

@@ -68,6 +68,13 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="non-finite"):
             linalg.spectrum(m)
 
+    def test_norm_overflow_rejected(self):
+        """Both warned "overflow encountered"; the second's norm is finite, its deviation not."""
+        for m, message in (([[0.0, 1e308], [1e308, 0.0]], "norm overflows"),
+                           ([[0.0, 9e153], [-9e153, 0.0]], "not Hermitian")):
+            with pytest.raises(ValueError, match=message):
+                linalg.spectrum(np.array(m))
+
     def test_non_symmetric_rejected(self):
         # LAPACK reads one triangle only, so the deviation check is the sole guard;
         # it is relative to ||M||_F, so it holds at small scale too

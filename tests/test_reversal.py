@@ -86,7 +86,7 @@ class TestMapBasics:
 
     @pytest.mark.parametrize("n", [0, -3, 2.0, True])
     def test_dimension_rejected(self, n):
-        with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+        with pytest.raises(ValueError, match="map dimension: expected an integer >= 1"):
             SignReversalMap(n, ())
 
     def test_phase_length_rejected(self):
@@ -149,6 +149,19 @@ class TestVerify:
         for target in (np.eye(2), 1e-12 * np.eye(2)):
             with pytest.raises(ValueError, match="traceless"):
                 verify_reversal(m, target)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e308])
+    def test_non_finite_target_rejected(self, entry):
+        """A NaN entry gave ok=False with a NaN residual, and inf or 1e308 a RuntimeWarning."""
+        target = np.array([[0.0, entry], [entry, 0.0]])
+        with pytest.raises(ValueError, match="NaN or infinity, or its norm overflows"):
+            verify_reversal(group_sign_reversal(2), target)
+
+    def test_overflowing_residual_fails(self):
+        """A finite target whose residual's norm overflows fails the check, unwarned."""
+        m = SignReversalMap(2, ((1.0, [0, 1], np.ones(2)),))
+        check = verify_reversal(m, np.array([[0.0, 9e153], [9e153, 0.0]]))
+        assert not check.ok and check.residual == np.inf
 
 
 class TestColoringMap:
@@ -278,6 +291,13 @@ class TestGroupReversal:
         with pytest.raises(ValueError):
             group_sign_reversal(1)
 
+    def test_numpy_dimension_is_json_ready(self):
+        """np.int64(2) was kept as the map's n, which json could not write."""
+        from chromabound.cli import _dump_json
+
+        doc = json.loads(_dump_json(serialize_map(group_sign_reversal(np.int64(2)))))
+        assert doc == json.loads(json.dumps(serialize_map(group_sign_reversal(2))))
+
     def test_non_integer_dimension_rejected(self):
         """A non-integer dimension raises ValueError, as Graph's vertex count does."""
         for build in (weyl_heisenberg_family, group_sign_reversal):
@@ -295,6 +315,10 @@ class TestCostLowerBound:
         from chromabound.graphs import adjacency_matrix
 
         assert cost_lower_bound(adjacency_matrix(complete(3))) == pytest.approx(2.0)
+
+    def test_norm_overflow_rejected(self):
+        with pytest.raises(ValueError, match="norm overflows"):
+            cost_lower_bound(np.array([[0.0, 1e308], [1e308, 0.0]]))
 
     def test_sandwiched_by_chi_minus_one(self):
         g = complete(3)
@@ -358,13 +382,14 @@ class TestSerialization:
             (lambda t: t.pop("r"), "no 'r' field"),
             (lambda t: t.pop("perm"), "no 'perm' field"),
             (lambda t: t.pop("d"), "no 'd' field"),
-            (lambda t: t.update(perm=[0, 1]), r"perm of shape \(2,\) is not a permutation"),
-            (lambda t: t.update(d=[[1.0, 0.0]] * 4), r"phase vector shape \(4,\)"),
-            (lambda t: t.update(perm=[0, 2, 2]), "not a permutation of range"),
-            (lambda t: t.update(d=[[1.0, 0.0], [0.0, 1.0], [0.5, 0.0]]), "not unitary"),
+            (lambda t: t.update(perm=[0, 1]), r"^map term 1: perm of shape \(2,\) is not a permutation"),
+            (lambda t: t.update(d=[[1.0, 0.0]] * 4), r"^map term 1: phase vector shape \(4,\)"),
+            (lambda t: t.update(perm=[0, 2, 2]), r"^map term 1: perm of shape \(3,\) is not a permutation of range"),
+            (lambda t: t.update(d=[[1.0, 0.0], [0.0, 1.0], [0.5, 0.0]]), "^map term 1: not unitary"),
+            (lambda t: t.update(r=-1.0), "^map term 1: weight must be positive and finite, got -1.0$"),
         ],
         ids=["missing-r", "missing-perm", "missing-d", "perm-length", "d-length",
-             "non-permutation", "non-unit-phase"],
+             "non-permutation", "non-unit-phase", "negative-r"],
     )
     def test_malformed_document_rejected(self, edit, message):
         doc = serialize_map(reversal_from_coloring(complete(3), Coloring((0, 1, 2), 3)))
@@ -375,10 +400,10 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda doc: doc.update(n=2.7), "dimension must be an integer >= 1, got 2.7"),
-            (lambda doc: doc.update(n=True), "dimension must be an integer >= 1, got True"),
-            (lambda doc: doc.update(n="3"), "dimension must be an integer"),
-            (lambda doc: doc.update(n=0, terms=[]), "dimension must be an integer >= 1, got 0"),
+            (lambda doc: doc.update(n=2.7), "map dimension: expected an integer >= 1, got 2.7"),
+            (lambda doc: doc.update(n=True), "map dimension: expected an integer >= 1, got True"),
+            (lambda doc: doc.update(n="3"), "map dimension: expected an integer"),
+            (lambda doc: doc.update(n=0, terms=[]), "map dimension: expected an integer >= 1, got 0"),
             (lambda doc: doc.update(terms=5), "terms must be a list"),
             (lambda doc: doc.update(terms={"r": 1.0}), "terms must be a list"),
             (lambda doc: doc["terms"].append([]), "terms must be a list of objects"),

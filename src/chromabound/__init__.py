@@ -22,7 +22,6 @@ from .graphs import (
     default_corpus,
     emit_dimacs,
     generate,
-    is_connected,
     is_proper,
     parse_dimacs,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "greedy_dsatur",
     "group_sign_reversal",
     "hoffman_bound",
-    "is_connected",
     "is_proper",
     "majorizes",
     "minimal_tau",

@@ -5,7 +5,9 @@ matrix M = W * A, which reads W only on the edges, so a weighting is its
 edge values z: one real or complex number per edge, in the order of
 (g.us, g.vs) and of the optimizedWeight certificate. A dense Hermitian W
 enters as W[g.us, g.vs]. Hoffman and tau-ones use the all-ones z, Barnes
-1/sqrt(d_u d_v) for D = |lambda_n| I, and tau_W + 1 any z. Every M is
+1/sqrt(d_u d_v) for D = |lambda_n| I, and tau_W + 1 any z. Barnes is
+reported on every graph with an edge, connected or not, since
+A + |lambda_n| I >= 0 and Hoffman's bound hold on all of them. Every M is
 built by `_EdgeMatrices` from z, and `_EdgeMatrices.evaluate`, which
 scales it to ||M||_F = 1, solves it through `linalg.eigensolve`, the
 package's one eigensolver. A report evaluates the all-ones edge vector
@@ -36,17 +38,13 @@ import numpy as np
 
 from . import linalg
 from .exact import exact_chi, greedy_dsatur
-from .graphs import Graph, _count, is_connected
+from .graphs import Graph, _count
 from .linalg import fmt12
 from .majorization import minimal_tau
 
 
 class DegenerateGraphError(ValueError):
     """Bound undefined: no edges, or the weighting vanishes on every edge."""
-
-
-class DisconnectedGraphError(ValueError):
-    """The Barnes bound requires a connected graph."""
 
 
 def ones_weight(g: Graph) -> np.ndarray:
@@ -163,10 +161,10 @@ def barnes_bound(g: Graph) -> Tuple[float, np.ndarray]:
     = A / |lambda_n| and the value is the Hoffman bound, read from the same
     spectrum of A. Other feasible D gain nothing over tau: A + D >= 0 gives
     lambda_min >= -1 for the scaled matrix, so its Barnes value is at most
-    tau_W + 1 for W = barnes_weight(g, d).
+    tau_W + 1 for W = barnes_weight(g, d). Defined on every graph with an edge,
+    connected or not: A + |lambda_n| I >= 0 and Hoffman's bound hold there.
+    An edgeless graph raises DegenerateGraphError.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("Barnes bound requires a connected graph")
     _wilf, hoffman, lam_n = _adjacency_bounds(_ones_start(g)[1])
     return hoffman, np.full(g.n, lam_n)
 
@@ -463,11 +461,8 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
         if "tau-ones" in methods:
             report.tau_ones = tau_ones + 1.0
         if "barnes" in methods:
-            if is_connected(g):
-                report.barnes = hoffman
-                report.certificates["barnesD"] = [fmt12(lam_n)] * g.n
-            else:
-                report.notes.append("disconnected: Barnes bound skipped")
+            report.barnes = hoffman
+            report.certificates["barnesD"] = [fmt12(lam_n)] * g.n
         if "tau-opt" in methods:
             z, tau = _weight_search(g, edges, start, tau_ones, config, None if oracle is None else oracle.chi)
             report.tau_optimized = tau + 1.0

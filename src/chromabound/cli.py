@@ -251,12 +251,13 @@ def cmd_gen(args) -> int:
 
 
 def _int_at_least(k):
-    """argparse type factory: an integer >= k."""
+    """argparse type factory: an integer >= k, read from text as `gen` reads its integers
+    (graphs._integer: "1e3" is 1000, "2.5" and "inf" are refused)."""
 
     def parse(text):
         try:
-            value = int(text)
-        except ValueError:
+            value = graphs._integer(text)
+        except (ValueError, OverflowError):
             value = k - 1
         if value < k:
             raise argparse.ArgumentTypeError(f"expected an integer >= {k}, got {text!r}")

@@ -6,9 +6,10 @@ and every module reads them there: the edge matrices of `bounds`, certificates, 
 output, the adjacency matrix and lists, and the properness check.
 
 Every count and seed a caller passes in (a Graph's n, a Coloring's num_colors, the
-generators' parameters, `BoundConfig`'s counts, `exact_chi`'s budget and a map's
-dimension) is read by `_count`: an integer, Python's or numpy's but not a bool, of at
-least the least value, stored as a Python int, or ValueError naming it."""
+generators' parameters, `BoundConfig`'s counts, `exact_chi`'s budget, a map's
+dimension, and the sizes and seeds of `linalg`'s random builders) is read by `_count`:
+an integer, Python's or numpy's but not a bool, of at least the least value, stored as
+a Python int, or ValueError naming it."""
 
 from __future__ import annotations
 
@@ -352,23 +353,6 @@ def is_proper(g: Graph, colors) -> bool:
     if len(colors) != g.n:
         raise ValueError(f"color vector length {len(colors)} != n = {g.n}")
     return not np.any(colors[g.us] == colors[g.vs])
-
-
-def is_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0."""
-    adj = g.adjacency_lists()
-    seen = [False] * g.n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == g.n
 
 
 def default_corpus():

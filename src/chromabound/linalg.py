@@ -24,6 +24,8 @@ import math
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
+from .graphs import _count
+
 HERMITIAN_RTOL = 1e-8  # allowed ||M - M^H||_F relative to ||M||_F
 UNITARY_TOL = 1e-10
 
@@ -106,14 +108,18 @@ def eigen_residuals(m, w, v):
 
 def random_edge_weights(count, seed):
     """`count` seeded complex Gaussian weights, each distributed as an off-diagonal entry of
-    random_hermitian: real and imaginary parts of variance 1/2."""
-    rng = np.random.default_rng(seed)
+    random_hermitian: real and imaginary parts of variance 1/2. count >= 0 and seed >= 0 are
+    read by graphs._count."""
+    count = _count(count, "edge count", 0)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     return (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / np.sqrt(2.0)
 
 
 def random_hermitian(n, seed, complex_entries=True):
-    """Seeded random Hermitian matrix (Gaussian entries, symmetrized)."""
-    rng = np.random.default_rng(seed)
+    """Seeded random Hermitian matrix (Gaussian entries, symmetrized); n >= 1 and seed >= 0
+    are read by graphs._count."""
+    n = _count(n, "dimension", 1)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     a = rng.standard_normal((n, n))
     if complex_entries:
         a = a + 1j * rng.standard_normal((n, n))

@@ -102,10 +102,12 @@ def verify_reversal(m: SignReversalMap, target) -> ReversalCheck:
     trace = np.trace(target)
     if abs(trace) > TAU_RTOL * scale:
         raise ValueError(f"target is not traceless (trace {trace:.3e})")
-    out = apply_reversal(m, target)
-    out += target
-    with np.errstate(over="ignore"):  # a residual that overflows is inf, and fails the check
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf below, and fails
+        out = apply_reversal(m, target)
+        out += target
         residual = float(np.linalg.norm(out))
+    if not math.isfinite(residual):
+        residual = math.inf
     return ReversalCheck(bool(residual <= TAU_RTOL * scale), residual)
 
 

@@ -12,7 +12,6 @@ from chromabound import bounds, exact, graphs, linalg
 from chromabound.bounds import (
     BoundConfig,
     DegenerateGraphError,
-    DisconnectedGraphError,
     barnes_bound,
     barnes_weight,
     chromatic_lower_bound,
@@ -576,19 +575,23 @@ class TestAscentQuality:
 
 class TestBarnes:
     def test_hoffman_diag_reproduces_hoffman(self, corpus):
-        from chromabound.graphs import is_connected
-
         for _name, g in corpus:
-            if g.num_edges == 0 or not is_connected(g):
+            if g.num_edges == 0:
                 continue
             value, d = barnes_bound(g)
             assert value == pytest.approx(hoffman_bound(g), abs=1e-8)
             assert np.all(d > 0)
             assert linalg.spectrum(adjacency_matrix(g) + np.diag(d))[-1] >= -1e-8
 
-    def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedGraphError):
-            barnes_bound(Graph(4, frozenset({(0, 1), (2, 3)})))
+    def test_disconnected_equals_hoffman(self):
+        """Two disjoint edges: spec(A) = {1, 1, -1, -1}, so D = I and Barnes = Hoffman = 2."""
+        g = Graph(4, frozenset({(0, 1), (2, 3)}))
+        value, d = barnes_bound(g)
+        assert value == hoffman_bound(g) == pytest.approx(2.0, abs=1e-12)
+        assert d == pytest.approx(np.ones(4), abs=1e-12)
+        report = chromatic_lower_bound(g, BoundConfig(methods=("hoffman", "barnes")), "2K2")
+        assert report.barnes == report.hoffman and report.notes == []
+        assert report.certificates["barnesD"] == [linalg.fmt12(x) for x in d]
 
 
 class TestReport:
@@ -686,7 +689,7 @@ class TestReport:
 
     @pytest.fixture
     def solver_calls(self, monkeypatch):
-        calls = {"eigvalsh": 0, "eigh": 0, "adjacency_matrix": 0, "is_connected": 0}
+        calls = {"eigvalsh": 0, "eigh": 0, "adjacency_matrix": 0}
 
         def counted(module, name):
             inner = getattr(module, name)
@@ -705,21 +708,20 @@ class TestReport:
 
         monkeypatch.setattr(linalg, "eigensolve", counted_solve)
         counted(graphs, "adjacency_matrix")
-        counted(bounds, "is_connected")
         return calls
 
     def test_one_spectrum_per_report(self, solver_calls):
         """Wilf, Hoffman, tau-ones and Barnes share one eigensolve of the all-ones M, and no A is built."""
         config = BoundConfig(methods=("wilf", "hoffman", "tau-ones", "barnes", "exact"))
         report = chromatic_lower_bound(petersen(), config, "petersen")
-        assert solver_calls == {"eigvalsh": 1, "eigh": 0, "adjacency_matrix": 0, "is_connected": 1}
+        assert solver_calls == {"eigvalsh": 1, "eigh": 0, "adjacency_matrix": 0}
         assert report.lower == report.exact_chi == 3
 
     @pytest.mark.parametrize("g", [complete(5), cycle(6)], ids=["K5", "C6"])
     def test_tight_search_reuses_the_report_spectrum(self, g, solver_calls):
         """Where the search is skipped, tau-opt adds no eigensolve to the adjacency bounds'."""
         report = chromatic_lower_bound(g, BoundConfig(restarts=2, iterations=60), "g")
-        assert solver_calls == {"eigvalsh": 1, "eigh": 0, "adjacency_matrix": 0, "is_connected": 1}
+        assert solver_calls == {"eigvalsh": 1, "eigh": 0, "adjacency_matrix": 0}
         assert report.tau_optimized == report.tau_ones
 
     @pytest.mark.parametrize("exact_limit", [30, 0])
@@ -727,8 +729,8 @@ class TestReport:
                                           (petersen(), False)], ids=["K5", "C6", "C5", "petersen"])
     def test_prerequisites_built_once(self, g, tight, exact_limit, monkeypatch):
         """With the exact oracle, a report builds the bit index and greedy DSATUR once each, inside
-        exact_chi, and the adjacency lists twice: for the oracle and for Barnes's connectivity
-        test. Without it, greedy DSATUR runs only for the skip test of a tight graph."""
+        exact_chi, and the adjacency lists once, for the oracle. Without it, greedy DSATUR runs
+        only for the skip test of a tight graph."""
         lists, index, report_greedy, oracle_greedy = [], [], [], []
         inner_lists, inner_index, inner_greedy = Graph.adjacency_lists, exact._bit_index, exact.greedy_dsatur
 
@@ -753,12 +755,12 @@ class TestReport:
         monkeypatch.setattr(exact, "greedy_dsatur", counted_greedy(oracle_greedy))
         report = chromatic_lower_bound(g, BoundConfig(restarts=2, iterations=60, exact_limit=exact_limit), "g")
         if exact_limit:
-            assert (len(lists), len(index), len(oracle_greedy), len(report_greedy)) == (2, 1, 1, 0)
+            assert (len(lists), len(index), len(oracle_greedy), len(report_greedy)) == (1, 1, 1, 0)
             assert report.exact_chi == exact_chi(g).chi
         else:
             skip_test = 1 if tight else 0  # greedy DSATUR builds its own lists and index
             assert (len(lists), len(index), len(oracle_greedy), len(report_greedy)) == (
-                1 + skip_test, skip_test, 0, skip_test)
+                skip_test, skip_test, 0, skip_test)
 
     @pytest.mark.parametrize("g", [complete(5), cycle(6)], ids=["K5", "C6"])
     def test_tight_skip_reads_the_oracle(self, g, solver_calls, monkeypatch):
@@ -771,7 +773,7 @@ class TestReport:
         monkeypatch.setattr(bounds, "greedy_dsatur", wasteful_dsatur)
         config = BoundConfig(restarts=2, iterations=60)
         report = chromatic_lower_bound(g, config, "g")
-        assert solver_calls == {"eigvalsh": 1, "eigh": 0, "adjacency_matrix": 0, "is_connected": 1}
+        assert solver_calls == {"eigvalsh": 1, "eigh": 0, "adjacency_matrix": 0}
         assert report.tau_optimized == report.tau_ones
         assert report.exact_chi == report.lower
         chromatic_lower_bound(g, BoundConfig(restarts=2, iterations=60, exact_limit=0), "g")
@@ -794,7 +796,7 @@ class TestReport:
 
     def test_exact_alone_solves_nothing(self, solver_calls):
         report = chromatic_lower_bound(petersen(), BoundConfig(methods=("exact",)), "petersen")
-        assert solver_calls == {"eigvalsh": 0, "eigh": 0, "adjacency_matrix": 0, "is_connected": 0}
+        assert solver_calls == {"eigvalsh": 0, "eigh": 0, "adjacency_matrix": 0}
         assert report.lower == 1 and report.exact_chi == 3
 
     def test_report_matches_public_functions(self, corpus):
@@ -806,10 +808,6 @@ class TestReport:
                 continue
             assert report.hoffman == hoffman_bound(g), name
             assert report.tau_ones == tau_bound(g, ones_weight(g)), name
-            if report.barnes is None:
-                with pytest.raises(DisconnectedGraphError):
-                    barnes_bound(g)
-                continue
             value, d = barnes_bound(g)
             assert report.barnes == value, name
             assert report.certificates["barnesD"] == [linalg.fmt12(x) for x in d], name

@@ -164,7 +164,8 @@ class TestBound:
     @pytest.mark.parametrize(
         "flag, value",
         [("--restarts", "0"), ("--restarts", "-4"), ("--iters", "0"), ("--iters", "x"),
-         ("--exact-limit", "-5"), ("--seed", "-3")],
+         ("--exact-limit", "-5"), ("--seed", "-3"), ("--restarts", "2.5"), ("--iters", "inf"),
+         ("--exact-limit", "2.5"), ("--seed", "inf")],
     )
     def test_out_of_range_flag(self, k3_col, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -186,6 +187,20 @@ class TestBound:
         doc = json.loads(capsys.readouterr().out)
         assert doc["hoffman"] is None
         assert any("edgeless" in note for note in doc["notes"])
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("bound", "--restarts"), ("bound", "--iters"), ("bound", "--exact-limit"), ("bound", "--seed"),
+     ("chi", "--budget"), ("reverse", "--budget"), ("reverse", "--seed")],
+)
+def test_count_flag_reads_text_as_gen(k3_col, command, flag, capsys):
+    """A count flag reads "1e3" as 1000, as `gen` reads its integers; argparse's int refused it."""
+    outputs = []
+    for value in ("1e3", "1000"):
+        assert main([command, k3_col, flag, value, "--format", "json"]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 class TestOversized:
@@ -288,7 +303,7 @@ class TestChi:
         path.write_text(emit_dimacs(mycielski(mycielski(complete(2)))))
         assert main(["chi", str(path), "--budget", "10"]) == EXIT_TIMEOUT
 
-    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("value", ["0", "-5", "2.5", "inf"])
     def test_out_of_range_budget(self, petersen_col, value, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["chi", petersen_col, "--budget", value])
@@ -299,7 +314,7 @@ class TestChi:
 class TestReverse:
     @pytest.mark.parametrize(
         "flag, value",
-        [("--budget", "0"), ("--budget", "-5"), ("--seed", "-1")],
+        [("--budget", "0"), ("--budget", "-5"), ("--seed", "-1"), ("--budget", "inf"), ("--seed", "2.5")],
     )
     def test_out_of_range_flag(self, k3_col, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -17,7 +17,6 @@ from chromabound.graphs import (
     emit_dimacs,
     erdos_renyi,
     generate,
-    is_connected,
     is_proper,
     kneser,
     mycielski,
@@ -26,6 +25,7 @@ from chromabound.graphs import (
     petersen,
     star,
 )
+from chromabound import linalg
 from chromabound.bounds import BoundConfig
 from chromabound.exact import exact_chi
 from chromabound.reversal import SignReversalMap, group_sign_reversal, weyl_heisenberg_family
@@ -253,10 +253,19 @@ COUNTS = [
     ("map dimension", 1, lambda v: SignReversalMap(v, ()).n),
     ("dimension", 1, lambda v: len(weyl_heisenberg_family(v))),
     ("dimension", 2, lambda v: group_sign_reversal(v).n),
+    # the random builders share their messages with rows above, so they carry their own ids
+    pytest.param("edge count", 0, lambda v: len(linalg.random_edge_weights(v, 1)),
+                 id="random_edge_weights count >= 0"),
+    pytest.param("seed", 0, lambda v: hash(linalg.random_edge_weights(4, v).tobytes()),
+                 id="random_edge_weights seed >= 0"),
+    pytest.param("dimension", 1, lambda v: len(linalg.random_hermitian(v, 1)), id="random_hermitian n >= 1"),
+    pytest.param("seed", 0, lambda v: hash(linalg.random_hermitian(2, v).tobytes()),
+                 id="random_hermitian seed >= 0"),
 ]
 
 
-@pytest.mark.parametrize("what, least, call", COUNTS, ids=[f"{w} >= {k}" for w, k, _ in COUNTS])
+@pytest.mark.parametrize("what, least, call", COUNTS,
+                         ids=[getattr(row, "id", None) or f"{row[0]} >= {row[1]}" for row in COUNTS])
 def test_one_rule_for_every_count(what, least, call):
     """A bool, a float (integral or not), a string and a value below the least are refused,
     each with the same message naming the parameter; a numpy integer is read as a Python int.
@@ -294,12 +303,6 @@ class TestQueries:
         with pytest.raises(ValueError):
             is_proper(k3, (0, 1))
 
-    def test_is_connected(self):
-        assert is_connected(complete(3))
-        assert is_connected(Graph(1))
-        two_edges = Graph(4, frozenset({(0, 1), (2, 3)}))
-        assert not is_connected(two_edges)
-
     def test_corpus_round_trips(self, corpus):
         for _name, g in corpus:
             assert parse_dimacs(emit_dimacs(g)).edges == g.edges
@@ -324,18 +327,6 @@ def pair_lists(draw):
     return n, pairs + [(v, u) for u, v in repeats], colors
 
 
-def _reachable_from_0(edges):
-    seen, stack = {0}, [0]
-    while stack:
-        x = stack.pop()
-        for u, v in edges:
-            for a, b in ((u, v), (v, u)):
-                if a == x and b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-    return len(seen)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(pair_lists())
 def test_edge_arrays_match_a_set_of_normalized_pairs(case):
@@ -355,6 +346,5 @@ def test_edge_arrays_match_a_set_of_normalized_pairs(case):
         a[u, v] = a[v, u] = 1.0
     assert np.array_equal(adjacency_matrix(g), a)
     assert is_proper(g, colors) == all(colors[u] != colors[v] for u, v in ref)
-    assert is_connected(g) == (_reachable_from_0(ref) == n)
     lines = ["c note", f"p edge {n} {len(ref)}"] + [f"e {u + 1} {v + 1}" for u, v in sorted(ref)]
     assert emit_dimacs(g, comment="note") == "\n".join(lines) + "\n"

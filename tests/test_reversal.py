@@ -158,10 +158,12 @@ class TestVerify:
             verify_reversal(group_sign_reversal(2), target)
 
     def test_overflowing_residual_fails(self):
-        """A finite target whose residual's norm overflows fails the check, unwarned."""
-        m = SignReversalMap(2, ((1.0, [0, 1], np.ones(2)),))
-        check = verify_reversal(m, np.array([[0.0, 9e153], [9e153, 0.0]]))
-        assert not check.ok and check.residual == np.inf
+        """A finite target whose residual's norm overflows, or a map whose image overflows, fails
+        the check, unwarned. The second raised "overflow encountered in multiply"."""
+        for r, entry in ((1.0, 9e153), (1e300, 1e10)):
+            m = SignReversalMap(2, ((r, [0, 1], np.ones(2)),))
+            check = verify_reversal(m, np.array([[0.0, entry], [entry, 0.0]]))
+            assert not check.ok and check.residual == np.inf, r
 
 
 class TestColoringMap:

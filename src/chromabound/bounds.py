@@ -182,7 +182,7 @@ def tau_bound(g: Graph, z) -> float:
 # ---------------------------------------------------------------------------
 # Defaults shared by optimize_weight, BoundConfig and the CLI flags
 
-METHODS = ("wilf", "hoffman", "tau-ones", "barnes", "tau-opt", "exact")
+METHODS = ("wilf", "hoffman", "tau-ones", "barnes", "tau-opt")
 DEFAULT_RESTARTS, DEFAULT_ITERATIONS, DEFAULT_SEED = 8, 200, 0
 DEFAULT_EXACT_LIMIT = 30  # the exact oracle runs on graphs with at most this many vertices
 
@@ -242,15 +242,12 @@ def _ratio_derivatives(ratio, terms):
     return np.divide(top_w, -bot, out=top_w)
 
 
-def _edge_gradient(v, c, upper, vc, prod):
+def _edge_gradient(v, c, upper):
     """sum_k c_k dlambda_k / dz_uv = 2 sum_k c_k v_k[u] conj(v_k[v]) (Lewis & Overton 1996),
     read at the flat positions upper = u*n + v; its real and imaginary parts are the
-    derivatives along Re z_uv and Im z_uv. v * c and its product with v^H are formed in the
-    n x n buffers vc and prod."""
+    derivatives along Re z_uv and Im z_uv."""
     vh = v.conj().T if v.dtype.kind == "c" else v.T
-    np.multiply(v, c, out=vc)
-    np.matmul(vc, vh, out=prod)
-    return 2.0 * prod.take(upper)
+    return 2.0 * ((v * c) @ vh).take(upper)
 
 
 def _tangent_norm(grad, z):
@@ -275,13 +272,11 @@ def _ascend(edges, start, budget):
     discards. If the first gradient is along z to rounding, or is rounding (STATIONARY_RTOL),
     no step has a direction to follow, so the restart returns the start. Success (the start
     is one) grows the step 1.5-fold, failure halves the step and mu, and a step below
-    MIN_STEP stops early. The smoothing weights and the gradient's n x n products live in
-    buffers allocated once per call.
+    MIN_STEP stops early. The smoothing weights live in a buffer allocated once per call.
     """
     step, mu, ratio = STEP, MU, -math.inf
     cand, m, cand_lam = start
     buf = _smoothing_buffer(len(cand_lam))
-    vc, prod = np.empty((2,) + m.shape, m.dtype)  # eigh returns vectors of m's dtype, C-ordered
     solves = 1
     while True:
         cand_ratio, terms = _smoothed_ratio(cand_lam, mu, buf)
@@ -290,7 +285,7 @@ def _ascend(edges, start, budget):
             if solves >= budget - 1:  # no candidate could follow a gradient solved now
                 break
             c = _ratio_derivatives(ratio, terms)
-            grad = _edge_gradient(linalg.eigensolve(m, vectors=True)[1], c, edges.upper, vc, prod)
+            grad = _edge_gradient(linalg.eigensolve(m, vectors=True)[1], c, edges.upper)
             solves += 1
             norm = _norm(grad)
             if solves == 2 and (norm <= len(lam) * EPS * c.sum()  # every c_k > 0
@@ -436,20 +431,20 @@ def _ceil_with_slack(x):
 
 
 def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_id="graph") -> BoundReport:
-    """Run every requested bound and aggregate into a BoundReport. The exact oracle, where
-    it is asked for and n <= exact_limit, runs first, so the weight search's skip test can
-    read its chi."""
+    """Run every requested bound and aggregate into a BoundReport. The exact oracle runs
+    exactly where n <= exact_limit, and first, so the weight search's skip test can read
+    its chi; methods=() asks for the oracle alone."""
     config = config or BoundConfig()
     report = BoundReport(graph_id=graph_id, n=g.n, m=g.num_edges, seed=config.seed)
     methods = set(config.methods)
-    oracle = exact_chi(g) if "exact" in methods and g.n <= config.exact_limit else None
+    oracle = exact_chi(g) if g.n <= config.exact_limit else None
 
     if g.num_edges == 0:
         if "wilf" in methods:
             report.wilf = wilf_upper_bound(g)
         if methods & {"hoffman", "tau-ones", "tau-opt", "barnes"}:
             report.notes.append("edgeless: spectral lower bounds undefined, reporting 1")
-    elif methods & {"wilf", "hoffman", "tau-ones", "barnes", "tau-opt"}:
+    elif methods:
         edges, start = _ones_start(g)
         wilf, hoffman, lam_n = _adjacency_bounds(start)
         if "wilf" in methods:
@@ -470,15 +465,12 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
                 [u, v, fmt12(re), fmt12(im)]
                 for u, v, re, im in zip(g.us.tolist(), g.vs.tolist(), z.real.tolist(), z.imag.tolist())
             ]
-    if "exact" in methods:
-        if oracle is None:
-            report.notes.append(f"n > exact limit {config.exact_limit}: exact chi skipped")
-        elif oracle.timed_out:
-            report.notes.append(
-                f"exact oracle timed out after {oracle.nodes_explored} nodes (best known {oracle.chi})"
-            )
-        else:
-            report.exact_chi = oracle.chi
+    if oracle is None:
+        report.notes.append(f"n > exact limit {config.exact_limit}: exact chi skipped")
+    elif oracle.timed_out:
+        report.notes.append(f"exact oracle timed out after {oracle.nodes_explored} nodes (best known {oracle.chi})")
+    else:
+        report.exact_chi = oracle.chi
 
     lowers = report.lower_bounds()
     report.lower = _ceil_with_slack(max(lowers)) if lowers else 1

@@ -1,5 +1,6 @@
 """Simple undirected graphs: DIMACS I/O and deterministic generators. `generate` builds
-any kind in `GENERATORS` and refuses more than `MAX_VERTICES` vertices before building.
+any kind in `GENERATORS`; it and `parse_dimacs` refuse more than `MAX_VERTICES` vertices
+before building or reading an edge.
 
 A `Graph` stores its edges once, as endpoint arrays us < vs in ascending (u, v) order,
 and every module reads them there: the edge matrices of `bounds`, certificates, DIMACS
@@ -22,13 +23,11 @@ from itertools import combinations
 
 import numpy as np
 
-# Vertex limit for every graph the CLI loads or generates. bound, compare and
-# reverse build dense n x n matrices (64 MiB each when complex at this n), and
-# chi's DSATUR works on n-bit integers (at this n on G(n, 0.01), greedy DSATUR
-# takes 0.03 s and the default budget of 10^6 nodes about 6 s). reverse also
-# refuses a q-coloring map with (q - 1) n^2 > MAX_VERTICES^2: applying each of
-# its q - 1 phase-vector unitaries touches all n^2 target entries. A coloring
-# file's labels are compacted to 0..q-1 first, so q <= n <= MAX_VERTICES.
+# Vertex limit for every graph `parse_dimacs` reads and `generate` builds, checked
+# before any edge is read or built. bound, compare and reverse build dense n x n
+# matrices (64 MiB each when complex at this n), and chi's DSATUR works on n-bit
+# integers (at this n on G(n, 0.01), greedy DSATUR takes 0.03 s and the default
+# budget of 10^6 nodes about 6 s).
 MAX_VERTICES = 2048
 
 
@@ -154,7 +153,9 @@ def parse_dimacs(text) -> Graph:
 
     Vertices are 1-indexed in the file and 0-indexed in the result.
     Duplicate edge lines collapse; `e u v` equals `e v u`. The edge
-    count on the `p` line is advisory (mismatch is not an error).
+    count on the `p` line is advisory (mismatch is not an error). A
+    vertex count above MAX_VERTICES is refused at the `p` line, before
+    any later line is read.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii", errors="replace")
@@ -178,6 +179,8 @@ def parse_dimacs(text) -> Graph:
                 raise DimacsError(f"non-integer counts in p line: {line!r}", line_no)
             if n < 1:
                 raise DimacsError(f"vertex count must be >= 1, got {n}", line_no)
+            if n > MAX_VERTICES:
+                raise DimacsError(f"{n} vertices exceed the limit of {MAX_VERTICES}", line_no)
         elif fields[0] == "e":
             if n is None:
                 raise DimacsError("e line before p line", line_no)

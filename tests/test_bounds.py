@@ -362,7 +362,7 @@ def _ratio_at(g, z, mu):
     lam, v = np.linalg.eigh(edges.matrix(z))
     ratio, terms = bounds._smoothed_ratio(lam, mu, bounds._smoothing_buffer(g.n))
     c = bounds._ratio_derivatives(ratio, terms)
-    return ratio, bounds._edge_gradient(v, c, edges.upper, np.empty_like(v), np.empty(v.shape, v.dtype))
+    return ratio, bounds._edge_gradient(v, c, edges.upper)
 
 
 class TestAscentGradient:
@@ -621,7 +621,7 @@ class TestReport:
         assert report.lower == 1
         assert any("edgeless" in note for note in report.notes)
 
-    @pytest.mark.parametrize("methods", [("hofman", "tau_opt"), ("hoffman", "all"), "exact"])
+    @pytest.mark.parametrize("methods", [("hofman", "tau_opt"), ("hoffman", "all"), ("hoffman", "exact"), "exact"])
     def test_config_rejects_unknown_methods(self, methods):
         """A misspelt method would otherwise leave every bound None and lower 1, with no note."""
         with pytest.raises(ValueError, match="unknown method .*; known methods: " + ", ".join(bounds.METHODS)):
@@ -712,7 +712,7 @@ class TestReport:
 
     def test_one_spectrum_per_report(self, solver_calls):
         """Wilf, Hoffman, tau-ones and Barnes share one eigensolve of the all-ones M, and no A is built."""
-        config = BoundConfig(methods=("wilf", "hoffman", "tau-ones", "barnes", "exact"))
+        config = BoundConfig(methods=("wilf", "hoffman", "tau-ones", "barnes"))
         report = chromatic_lower_bound(petersen(), config, "petersen")
         assert solver_calls == {"eigvalsh": 1, "eigh": 0, "adjacency_matrix": 0}
         assert report.lower == report.exact_chi == 3
@@ -795,9 +795,18 @@ class TestReport:
             assert with_oracle == without, name
 
     def test_exact_alone_solves_nothing(self, solver_calls):
-        report = chromatic_lower_bound(petersen(), BoundConfig(methods=("exact",)), "petersen")
+        report = chromatic_lower_bound(petersen(), BoundConfig(methods=()), "petersen")
         assert solver_calls == {"eigvalsh": 0, "eigh": 0, "adjacency_matrix": 0}
         assert report.lower == 1 and report.exact_chi == 3
+
+    @pytest.mark.parametrize("exact_limit, chi, notes", [
+        (30, 3, []), (0, None, ["n > exact limit 0: exact chi skipped"]),
+    ])
+    def test_exact_limit_alone_gates_the_oracle(self, exact_limit, chi, notes):
+        """The oracle runs exactly where n <= exact_limit, whichever methods the report asks for."""
+        config = BoundConfig(methods=("hoffman",), exact_limit=exact_limit)
+        doc = chromatic_lower_bound(petersen(), config, "petersen").to_document()
+        assert (doc["exactChi"], doc["notes"]) == (chi, notes)
 
     def test_report_matches_public_functions(self, corpus):
         config = BoundConfig(methods=("wilf", "hoffman", "tau-ones", "barnes"))

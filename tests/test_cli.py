@@ -216,7 +216,7 @@ class TestOversized:
     @pytest.mark.parametrize("command", ["bound", "compare", "reverse", "chi"])
     def test_rejected_before_allocation(self, huge_col, command, capsys):
         assert main([command, huge_col]) == EXIT_INPUT
-        assert "100000 vertices exceed" in capsys.readouterr().err
+        assert f"{huge_col}: line 1: 100000 vertices exceed the limit of 2048" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "params, count",
@@ -396,6 +396,24 @@ class TestCompare:
 
     def test_needs_input(self, capsys):
         assert main(["compare"]) == EXIT_INPUT
+
+    def test_files_and_gen_corpus_are_exclusive(self, k3_col, capsys):
+        """The files were silently dropped: the 33 corpus rows, no k3 row, and exit 0."""
+        assert main(["compare", k3_col, "--gen-corpus"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "compare takes input files or --gen-corpus, not both" in captured.err
+
+    @pytest.mark.parametrize("complex_weights", [False, True], ids=["real", "complex"])
+    def test_corpus_quality_floor(self, complex_weights, capsys):
+        """The corpus totals at 2 x 60, seed 7, may not fall below today's: a lower_sum bound of
+        2 % would let 113 fall to 111."""
+        argv = ["compare", "--gen-corpus", "--seed", "7", "--restarts", "2", "--iters", "60", "--format", "json"]
+        assert main(argv + ["--complex-weights"] * complex_weights) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert sum(row["lower"] for row in doc["rows"]) >= 113
+        assert doc["summary"]["lowerEqualsChi"] >= 31
+        assert doc["summary"]["tauOptImprovements"] >= 12
 
     def test_gen_corpus_soundness_small_budget(self, capsys):
         assert main(["compare", "--gen-corpus", "--format", "json", "--restarts", "1",

@@ -75,8 +75,6 @@ class TestGraphInvariants:
         n = math.isqrt(np.iinfo(np.intp).max)
         with pytest.raises(ValueError, match=f"vertex count {10**12} exceeds {n}, the limit"):
             Graph(10**12, [(10**12 - 2, 10**12 - 1), (3, 5)])
-        with pytest.raises(ValueError, match=f"vertex count 5000000000 exceeds {n}, the limit"):
-            parse_dimacs("p edge 5000000000 1\ne 4000000000 4000000001\n")
         g = Graph(n, [(n - 2, n - 1), (3, 5)])
         assert (g.us.tolist(), g.vs.tolist()) == ([3, n - 2], [5, n - 1])
 
@@ -113,6 +111,18 @@ class TestParseDimacs:
     def test_malformed_line(self):
         with pytest.raises(DimacsError, match="unrecognized"):
             parse_dimacs("p edge 2 1\nx 1 2")
+
+    @pytest.mark.parametrize("text", ["p edge 2049 1\nx junk\n", "p edge 5000000000 1\ne 4000000000 4000000001\n"],
+                             ids=["2049", "5e9"])
+    def test_vertex_limit_refused_at_p_line(self, text):
+        """The vertex limit is read off the p line: no later line, malformed or not, is read."""
+        n = text.split()[2]
+        with pytest.raises(DimacsError, match=f"^line 1: {n} vertices exceed the limit of 2048$"):
+            parse_dimacs(text)
+
+    def test_vertex_limit_admits_its_own_count(self):
+        g = parse_dimacs("p edge 2048 1\ne 2047 2048\n")
+        assert (g.n, g.us.tolist(), g.vs.tolist()) == (2048, [2046], [2047])
 
     def test_comments_and_bytes(self):
         g = parse_dimacs(b"c a comment\np edge 2 1\ne 1 2\n")

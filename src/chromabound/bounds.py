@@ -426,8 +426,9 @@ class BoundReport:
         }
 
 
-def _ceil_with_slack(x):
-    return int(math.ceil(x - 1e-6))
+def _lower_integer(x):
+    """The integer `_near_integer` admits for the bound x, else x's ceiling: a report's `lower`."""
+    return math.ceil(x) if _near_integer(x) is None else round(x)
 
 
 def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_id="graph") -> BoundReport:
@@ -473,5 +474,5 @@ def chromatic_lower_bound(g: Graph, config: Optional[BoundConfig] = None, graph_
         report.exact_chi = oracle.chi
 
     lowers = report.lower_bounds()
-    report.lower = _ceil_with_slack(max(lowers)) if lowers else 1
+    report.lower = _lower_integer(max(lowers)) if lowers else 1
     return report

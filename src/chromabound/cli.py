@@ -31,13 +31,12 @@ class CliError(Exception):
 
 
 def _load_graph(path) -> graphs.Graph:
-    """Parse a DIMACS file; its errors, the vertex limit's included, name the path."""
+    """A DIMACS file's graph: `parse_dimacs` reads the open binary file; errors name the path."""
     try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as f:
+            return graphs.parse_dimacs(f)
+    except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
-    try:
-        return graphs.parse_dimacs(text)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}")
 
@@ -74,10 +73,8 @@ def _json_text(value, newline):
 
 def _report_text(doc) -> str:
     lines = [f"graph {doc['graphId']}: n={doc['n']} m={doc['m']}"]
-    for key in ("hoffman", "wilf", "tauOnes", "tauOptimized", "barnes"):
-        value = doc[key]
-        lines.append(f"  {key:<13} {value if value is not None else 'absent'}")
-    lines.append(f"  {'exactChi':<13} {doc['exactChi'] if doc['exactChi'] is not None else 'absent'}")
+    for key in ("hoffman", "wilf", "tauOnes", "tauOptimized", "barnes", "exactChi"):
+        lines.append(f"  {key:<13} {doc[key] if doc[key] is not None else 'absent'}")
     lines.append(f"  {'lower':<13} {doc['lower']}")
     for note in doc["notes"]:
         lines.append(f"  note: {note}")

@@ -15,6 +15,7 @@ a Python int, or ValueError naming it."""
 from __future__ import annotations
 
 import functools
+import io
 import math
 import operator
 import random
@@ -148,69 +149,71 @@ class Coloring:
                 raise ValueError(f"color {c} outside [0, {self.num_colors})")
 
 
-def parse_dimacs(text) -> Graph:
-    """Parse DIMACS .col text (bytes or str) into a Graph.
+def parse_dimacs(source) -> Graph:
+    r"""Parse DIMACS .col input, a str, bytes, or a file open in binary mode, into a Graph.
 
-    Vertices are 1-indexed in the file and 0-indexed in the result.
-    Duplicate edge lines collapse; `e u v` equals `e v u`. The edge
-    count on the `p` line is advisory (mismatch is not an error). A
-    vertex count above MAX_VERTICES is refused at the `p` line, before
-    any later line is read.
+    Bytes and files are read as ASCII, each undecodable byte replaced. Lines end at `\n`,
+    `\r\n` or a lone `\r`, and are read one at a time up to the first refusal, so more than
+    MAX_VERTICES vertices are refused at the `p` line; a file passed in is left open.
+    Vertices are 1-indexed in the file and 0-indexed in the result; duplicate edge lines
+    collapse, and `e u v` equals `e v u`. The `p` line's edge count must be an integer but
+    is advisory: real .col files routinely get it wrong.
     """
-    if isinstance(text, bytes):
-        text = text.decode("ascii", errors="replace")
+    if isinstance(source, str):
+        lines = io.StringIO(source, newline=None)
+    else:
+        stream = io.BytesIO(source) if isinstance(source, bytes) else source
+        lines = io.TextIOWrapper(stream, encoding="ascii", errors="replace")
     n = None
-    declared_m = None
-    edges = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] == "p":
-            if n is not None:
-                raise DimacsError("duplicate p line", line_no)
-            if len(fields) != 4 or fields[1] != "edge":
-                raise DimacsError(f"malformed p line: {line!r}", line_no)
-            try:
-                n = int(fields[2])
-                declared_m = int(fields[3])
-            except ValueError:
-                raise DimacsError(f"non-integer counts in p line: {line!r}", line_no)
-            if n < 1:
-                raise DimacsError(f"vertex count must be >= 1, got {n}", line_no)
-            if n > MAX_VERTICES:
-                raise DimacsError(f"{n} vertices exceed the limit of {MAX_VERTICES}", line_no)
-        elif fields[0] == "e":
-            if n is None:
-                raise DimacsError("e line before p line", line_no)
-            if len(fields) != 3:
-                raise DimacsError(f"malformed e line: {line!r}", line_no)
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise DimacsError(f"non-integer vertex in e line: {line!r}", line_no)
-            if u == v:
-                raise DimacsError(f"self-loop edge {u} {v}", line_no)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise DimacsError(f"vertex index {max(u, v)} outside [1, {n}]", line_no)
-            edges.append((u - 1, v - 1))
-        else:
-            raise DimacsError(f"unrecognized line: {line!r}", line_no)
+    ends = []  # both endpoints of every edge, 1-indexed, in file order
+    try:
+        for line_no, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("c"):
+                continue
+            fields = line.split()
+            if fields[0] == "p":
+                if n is not None:
+                    raise DimacsError("duplicate p line", line_no)
+                if len(fields) != 4 or fields[1] != "edge":
+                    raise DimacsError(f"malformed p line: {line!r}", line_no)
+                try:
+                    n = int(fields[2])
+                    int(fields[3])  # the edge count: checked, never used
+                except ValueError:
+                    raise DimacsError(f"non-integer counts in p line: {line!r}", line_no)
+                if n < 1:
+                    raise DimacsError(f"vertex count must be >= 1, got {n}", line_no)
+                if n > MAX_VERTICES:
+                    raise DimacsError(f"{n} vertices exceed the limit of {MAX_VERTICES}", line_no)
+            elif fields[0] == "e":
+                if n is None:
+                    raise DimacsError("e line before p line", line_no)
+                if len(fields) != 3:
+                    raise DimacsError(f"malformed e line: {line!r}", line_no)
+                try:
+                    u, v = int(fields[1]), int(fields[2])
+                except ValueError:
+                    raise DimacsError(f"non-integer vertex in e line: {line!r}", line_no)
+                if u == v:
+                    raise DimacsError(f"self-loop edge {u} {v}", line_no)
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise DimacsError(f"vertex index {max(u, v)} outside [1, {n}]", line_no)
+                ends.append(u)
+                ends.append(v)
+            else:
+                raise DimacsError(f"unrecognized line: {line!r}", line_no)
+    finally:
+        if isinstance(lines, io.TextIOWrapper):
+            lines.detach()  # else closing the wrapper would close the caller's file
     if n is None:
         raise DimacsError("missing p line")
-    # declared_m is advisory: real .col files routinely get it wrong
-    del declared_m
-    return Graph(n, edges)
+    return Graph(n, np.array(ends, dtype=np.intp).reshape(-1, 2) - 1)
 
 
 def emit_dimacs(g: Graph, comment=None) -> str:
     """Serialize a Graph to DIMACS .col text (1-indexed)."""
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"c {part}")
-    lines.append(f"p edge {g.n} {g.num_edges}")
+    lines = [f"c {part}" for part in (comment or "").splitlines()] + [f"p edge {g.n} {g.num_edges}"]
     lines += [f"e {u} {v}" for u, v in zip((g.us + 1).tolist(), (g.vs + 1).tolist())]
     return "\n".join(lines) + "\n"
 

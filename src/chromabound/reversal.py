@@ -126,9 +126,7 @@ def reversal_from_coloring(g: Graph, coloring: Coloring) -> SignReversalMap:
     if not is_proper(g, coloring.colors):
         raise ValueError("coloring is not proper for this graph")
     q = coloring.num_colors
-    if q < 2:
-        if g.num_edges:
-            raise ValueError("graphs with edges need at least 2 colors")
+    if q < 2:  # a graph with an edge and q = 1 failed is_proper above
         raise ValueError("sign reversal from a 1-coloring is empty")
     colors, identity = np.asarray(coloring.colors), np.arange(g.n)
     return SignReversalMap(

@@ -614,6 +614,17 @@ class TestReport:
         assert report.lower == 3
         assert report.exact_chi == 3
 
+    @pytest.mark.parametrize(
+        "bound, lower",
+        [(2 + 7.9e-7, 3), (2 + 1.18e-6, 3), (3 + 1e-13, 3), (2048 - 1.6e-8, 2048), (3.0, 3), (2.2360679, 3)],
+        ids=["C2501", "C2047", "3+1e-13", "K2048", "exact", "C5"],
+    )
+    def test_lower_is_the_admitted_integer_or_the_ceiling(self, bound, lower):
+        """One relative rule: the integer within TIGHT_RTOL * q of the largest bound, else its
+        ceiling. An absolute slack of 1e-6 gave C2501's Hoffman bound, 2 + 7.9e-7, lower 2 at chi = 3."""
+        got = bounds._lower_integer(bound)
+        assert type(got) is int and got == lower
+
     def test_edgeless_report(self):
         report = chromatic_lower_bound(Graph(4), BoundConfig(), "empty")
         assert report.hoffman is None

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 import chromabound
 from chromabound import graphs, linalg
-from chromabound.cli import EXIT_IMPROPER, EXIT_INPUT, EXIT_OK, EXIT_TIMEOUT, _dump_json, main
+from chromabound.cli import (
+    EXIT_IMPROPER, EXIT_INPUT, EXIT_OK, EXIT_TIMEOUT, CliError, _dump_json, _load_graph, main
+)
 from chromabound.graphs import complete, cycle, emit_dimacs, erdos_renyi, mycielski, parse_dimacs, petersen
 
 
@@ -179,6 +181,29 @@ class TestBound:
                 main([command, k3_col, "--tol", "1e-9"])
             assert exc.value.code == EXIT_INPUT
             assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+    def test_latin1_comment(self, tmp_path, capsys):
+        """A byte that is not UTF-8 in a comment is read as parse_dimacs reads bytes: replaced.
+        read_text refused the file with exit 2."""
+        docs = []
+        for name, comment in (("ascii", b"c cafe"), ("latin1", b"c caf\xe9")):
+            path = tmp_path / f"{name}.col"
+            path.write_bytes(comment + b"\n" + emit_dimacs(petersen()).encode())
+            assert main(["bound", str(path), "--restarts", "2", "--iters", "20", "--format", "json"]) == EXIT_OK
+            docs.append(json.loads(capsys.readouterr().out))
+        assert [doc.pop("graphId") for doc in docs] == ["ascii", "latin1"]
+        assert docs[0] == docs[1]
+
+    def test_line_ends_give_one_report(self, tmp_path, capsys):
+        text = "c petersen\n" + emit_dimacs(petersen())
+        outputs = []
+        for end in ("\n", "\r\n", "\r"):
+            path = tmp_path / f"{len(outputs)}" / "petersen.col"
+            path.parent.mkdir()
+            path.write_bytes(text.replace("\n", end).encode())
+            assert main(["bound", str(path), "--restarts", "2", "--iters", "20", "--format", "json"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_edgeless_exits_zero(self, tmp_path, capsys):
         empty = tmp_path / "empty.col"
@@ -347,6 +372,23 @@ class TestReverse:
         colors = tmp_path / "colors.txt"
         colors.write_text("0 0 1\n")
         assert main(["reverse", k3_col, "--colors", str(colors)]) == EXIT_IMPROPER
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read coloring file {colors}: [Errno 2] No such file or directory: '{colors}'"),
+            ("0 1 x\n", "cannot read coloring file {colors}: invalid literal for int() with base 10: 'x'"),
+            ("0 1\n", "coloring file has 2 entries, graph has 3 vertices"),
+            ("0 1 2 0\n", "coloring file has 4 entries, graph has 3 vertices"),
+        ],
+        ids=["missing", "non-integer", "short", "long"],
+    )
+    def test_coloring_file_refused(self, k3_col, tmp_path, text, message, capsys):
+        colors = tmp_path / "colors.txt"
+        if text is not None:
+            colors.write_text(text)
+        assert main(["reverse", k3_col, "--colors", str(colors)]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: {message.format(colors=colors)}\n")
 
     def test_coloring_file_and_emit_map(self, k3_col, tmp_path, capsys):
         colors = tmp_path / "colors.txt"
@@ -555,3 +597,22 @@ def test_malformed_col_never_escapes_main(data):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             assert code in (EXIT_OK, EXIT_INPUT, EXIT_IMPROPER, EXIT_TIMEOUT), (argv[0], data)
+
+
+@given(_col_bytes())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_cli_reads_a_file_as_parse_dimacs_reads_its_bytes(data):
+    """The CLI hands the open file to parse_dimacs: the same graph as parse_dimacs(data), or
+    the same message after the path. It decoded the file as UTF-8 before, and refused a file
+    that parse_dimacs reads."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "fuzz.col")
+        Path(path).write_bytes(data)
+        try:
+            expected = parse_dimacs(data)
+        except ValueError as exc:
+            with pytest.raises(CliError) as info:
+                _load_graph(path)
+            assert str(info.value) == f"{path}: {exc}"
+        else:
+            assert _load_graph(path) == expected

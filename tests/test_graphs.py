@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import re
 
@@ -135,6 +137,77 @@ class TestParseDimacs:
     def test_round_trip(self):
         g = petersen()
         assert parse_dimacs(emit_dimacs(g)).edges == g.edges
+
+    @pytest.mark.parametrize("form", [str, str.encode, lambda t: io.BytesIO(t.encode())], ids=["str", "bytes", "file"])
+    def test_line_ends(self, form):
+        r"""\n, \r\n and a lone \r end a line in every input form, and mixed ends count one
+        line each; the line numbers of a refusal count them the same way."""
+        text = "c K3\rp edge 3 3\r\ne 1 2\ne 2 3\re 1 3\r\n"
+        assert parse_dimacs(form(text)) == complete(3)
+        with pytest.raises(DimacsError, match="^line 7: unrecognized line: 'x'$"):  # line 6 is empty
+            parse_dimacs(form(text + "\rx"))
+
+    @pytest.mark.parametrize("end", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+                             ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"])
+    def test_other_line_breaks_end_no_line(self, end):
+        r"""str.splitlines also broke lines at these; now they are whitespace (str) or
+        undecodable bytes (bytes) within one line, in every input form."""
+        text = f"p edge 2 1{end}e 1 2\n"
+        for source in (text, text.encode("utf-8"), io.BytesIO(text.encode("utf-8"))):
+            with pytest.raises(DimacsError, match="^line 1: malformed p line: "):
+                parse_dimacs(source)
+
+    def test_undecodable_bytes_are_replaced(self):
+        """A Latin-1 comment in bytes or a binary file reads as the ASCII one does."""
+        data = b"c caf\xe9 \xff\np edge 3 2\ne 1 2\ne 2 3\n"
+        assert parse_dimacs(data) == parse_dimacs(io.BytesIO(data)) == Graph(3, [(0, 1), (1, 2)])
+
+    def test_file_is_left_open(self):
+        for data in (b"p edge 2 1\ne 1 2\n", b"x\n"):
+            f = io.BytesIO(data)
+            with contextlib.suppress(DimacsError):
+                parse_dimacs(f)
+            assert not f.closed
+
+    def test_oversized_file_is_read_no_further_than_its_p_line(self, tmp_path):
+        """2,000,000 edge lines under a p line that declares 100,000 vertices (12 MB): the
+        refusal comes at line 1 with at most 64 KiB read, and the caller's file stays open."""
+        path = tmp_path / "huge.col"
+        path.write_text("p edge 100000 2000000\n" + "e 1 2\n" * 2000000)
+        with open(path, "rb") as f:
+            with pytest.raises(DimacsError, match="^line 1: 100000 vertices exceed the limit of 2048$"):
+                parse_dimacs(f)
+            assert not f.closed
+            assert f.raw.tell() <= 64 * 1024
+
+
+# Each refusal of graphs' readers and builders: (call, message). DIMACS messages carry the
+# offending line's number.
+REFUSALS = [
+    (lambda: parse_dimacs("p edge 3\n"), "line 1: malformed p line: 'p edge 3'"),
+    (lambda: parse_dimacs("c x\np col 3 1\n"), "line 2: malformed p line: 'p col 3 1'"),
+    (lambda: parse_dimacs("c x\n\np edge three 1\n"), "line 3: non-integer counts in p line: 'p edge three 1'"),
+    (lambda: parse_dimacs("p edge 3 1.5\n"), "line 1: non-integer counts in p line: 'p edge 3 1.5'"),
+    (lambda: parse_dimacs("p edge 0 0\n"), "line 1: vertex count must be >= 1, got 0"),
+    (lambda: parse_dimacs("p edge 3 1\ne 1 2 3\n"), "line 2: malformed e line: 'e 1 2 3'"),
+    (lambda: parse_dimacs("p edge 3 1\ne 1\n"), "line 2: malformed e line: 'e 1'"),
+    (lambda: parse_dimacs("p edge 3 1\nc\ne 1 x\n"), "line 3: non-integer vertex in e line: 'e 1 x'"),
+    (lambda: parse_dimacs("p edge 3 1\np edge 3 1\n"), "line 2: duplicate p line"),
+    (lambda: parse_dimacs("e 1 2\np edge 3 1\n"), "line 1: e line before p line"),
+    (lambda: generate("complete"), "complete takes 1 parameter(s): complete n"),
+    (lambda: generate("petersen", 3), "petersen takes 0 parameter(s): petersen"),
+    (lambda: generate("kneser", 5, 2, 1), "kneser takes 2 parameter(s): kneser n k"),
+    (lambda: generate("erdos-renyi", 10, 1.5, 0), "edge probability must be in [0, 1], got 1.5"),
+    (lambda: generate("erdos-renyi", 10, "-0.1", 0), "edge probability must be in [0, 1], got -0.1"),
+    (lambda: generate("kneser", 5, 3), "kneser needs 1 <= k <= n/2, got n=5, k=3"),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSALS, ids=[message for _, message in REFUSALS])
+def test_refusal_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestGenerators:

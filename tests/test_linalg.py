@@ -150,3 +150,20 @@ def test_random_edge_weights():
     assert abs(np.mean(w.real**2) - 0.5) < 0.02 and abs(np.mean(w.imag**2) - 0.5) < 0.02
     dense = linalg.random_hermitian(200, 4)[np.triu_indices(200, 1)]
     assert abs(np.mean(np.abs(dense) ** 2) - 1) < 0.04
+
+
+# Each refusal of linalg.hermitize: (call, message).
+REFUSALS = [
+    (lambda: linalg.hermitize(np.zeros((2, 3))), "expected a square matrix, got shape (2, 3)"),
+    (lambda: linalg.hermitize(np.zeros(3)), "expected a square matrix, got shape (3,)"),
+    (lambda: linalg.hermitize([[0.0, np.inf], [np.inf, 0.0]]), "matrix has non-finite entries"),
+    (lambda: linalg.hermitize([[1e308, 1e308], [1e308, 1e308]]), "matrix norm overflows"),
+    (lambda: linalg.hermitize([[0.0, 1.0], [0.0, 0.0]]), "matrix is not Hermitian (deviation 1.414e+00)"),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSALS, ids=[message for _, message in REFUSALS])
+def test_refusal_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -6,7 +6,7 @@ import pytest
 from chromabound import linalg
 from chromabound.bounds import ones_weight, weighted_adjacency
 from chromabound.exact import exact_chi, greedy_dsatur
-from chromabound.graphs import Coloring, complete, cycle, petersen
+from chromabound.graphs import Coloring, Graph, complete, cycle, petersen
 from chromabound.reversal import (
     SignReversalMap,
     apply_reversal,
@@ -442,3 +442,22 @@ class TestSerialization:
     def test_non_object_document_rejected(self, doc):
         with pytest.raises(ValueError, match="map document must be an object, got"):
             deserialize_map(doc)
+
+
+# Each refusal of the coloring map's builder and of deserialize_map's top level: (call,
+# message). A 1-coloring of a graph with an edge is improper, so is_proper refuses it first.
+REFUSALS = [
+    (lambda: reversal_from_coloring(complete(3), Coloring((0, 1), 2)), "coloring length 2 != n = 3"),
+    (lambda: reversal_from_coloring(complete(3), Coloring((0, 1, 2, 0), 3)), "coloring length 4 != n = 3"),
+    (lambda: reversal_from_coloring(complete(2), Coloring((0, 0), 1)), "coloring is not proper for this graph"),
+    (lambda: reversal_from_coloring(Graph(3), Coloring((0, 0, 0), 1)), "sign reversal from a 1-coloring is empty"),
+    (lambda: deserialize_map({"terms": []}), "map document has no 'n' field"),
+    (lambda: deserialize_map({"n": 2}), "map document has no 'terms' field"),
+]
+
+
+@pytest.mark.parametrize("call, message", REFUSALS, ids=[message for _, message in REFUSALS])
+def test_refusal_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
